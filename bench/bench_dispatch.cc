@@ -24,6 +24,9 @@
 //      the three modes — the backend moves the schedule, never the answer.
 //   3. No device budget ever exceeded, CPU lanes saturated under hybrid,
 //      zero mid-run pool growths anywhere — the admission invariants.
+//   4. Each document is prepared once: building the corpus builds two DAG
+//      views per document (the compressor's Bloom pass and the corpus'
+//      prepared record), and serving all four servers builds none.
 //
 // On success the numbers are emitted to BENCH_dispatch.json for CI to
 // archive next to the log.
@@ -86,6 +89,7 @@ int main() {
   mspec.files_per_doc = 2;
   mspec.tokens_per_doc = tokens_per_doc;
   mspec.seed = 29;
+  const uint64_t builds_before_load = DagView::builds();
   auto built = BuildMarkerCorpus(mspec);
   if (!built.ok()) {
     std::fprintf(stderr, "GATE FAILED: marker corpus: %s\n",
@@ -93,6 +97,8 @@ int main() {
     return 1;
   }
   MarkerCorpus mc = std::move(*built);
+  const uint64_t load_builds = DagView::builds() - builds_before_load;
+  const uint64_t builds_before_serving = DagView::builds();
 
   // The mixed workload: each round submits one GPU-bound heavy followed by
   // a CPU-won cheap tail (two word counts + one Bloom-pruned keyword
@@ -198,6 +204,8 @@ int main() {
     outcomes.push_back(std::move(outcome));
   }
 
+  const uint64_t serving_builds = DagView::builds() - builds_before_serving;
+
   std::printf("%-10s %14s %10s %10s %16s %12s\n", "Mode", "makespan (ms)",
               "gpu runs", "cpu runs", "peak slots", "peak lanes");
   bench::PrintRule();
@@ -214,6 +222,10 @@ int main() {
     std::printf("%s ", BackendName(run.admission.backend));
   }
   std::printf("\n");
+  std::printf("DAG view builds: %llu while building %u documents, %llu while "
+              "serving\n",
+              static_cast<unsigned long long>(load_builds), mspec.num_docs,
+              static_cast<unsigned long long>(serving_builds));
 
   const ModeOutcome& all_gpu = outcomes[0];
   const ModeOutcome& all_cpu = outcomes[1];
@@ -293,11 +305,23 @@ int main() {
     return 1;
   }
 
+  // Gate 4: documents are prepared once, at load; serving rebuilds nothing.
+  if (load_builds != 2ull * mspec.num_docs || serving_builds != 0) {
+    std::fprintf(stderr,
+                 "GATE FAILED: DAG view builds %llu at load (want %llu) and "
+                 "%llu while serving (want 0)\n",
+                 static_cast<unsigned long long>(load_builds),
+                 2ull * mspec.num_docs,
+                 static_cast<unsigned long long>(serving_builds));
+    return 1;
+  }
+
   bench::PrintRule('=');
   std::printf(
       "Gates passed: hybrid %.3f ms < all-gpu %.3f ms (%.2fx) and < all-cpu "
       "%.3f ms (%.2fx); all %zu tickets bit-identical across modes; budget "
-      "respected, lanes saturated, zero mid-run growths.\n",
+      "respected, lanes saturated, zero mid-run growths; zero DAG view "
+      "builds while serving.\n",
       hybrid.makespan * 1e3, all_gpu.makespan * 1e3,
       all_gpu.makespan / hybrid.makespan, all_cpu.makespan * 1e3,
       all_cpu.makespan / hybrid.makespan, workload.size());
@@ -312,6 +336,8 @@ int main() {
   json +=
       "  \"device_slot_budget\": " + JsonNum(base.device_slot_budget) + ",\n";
   json += "  \"runs\": " + JsonNum(uint64_t{workload.size()}) + ",\n";
+  json += "  \"dag_builds_load\": " + JsonNum(load_builds) + ",\n";
+  json += "  \"dag_builds_serving\": " + JsonNum(serving_builds) + ",\n";
   json += "  \"modes\": [\n";
   for (size_t m = 0; m < outcomes.size(); ++m) {
     const ModeOutcome& o = outcomes[m];

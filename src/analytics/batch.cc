@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <atomic>
 #include <mutex>
+#include <string>
 #include <thread>
 
 #include "common/thread_pool.h"
@@ -14,11 +15,26 @@ namespace gtadoc {
 
 Result<std::unique_ptr<BatchEngine>> BatchEngine::Create(
     const PartitionedCorpus* corpus, const Options& options) {
-  if (corpus == nullptr || corpus->partitions.empty()) {
+  if (corpus == nullptr) {
     return Status::InvalidArgument("batch needs at least one document");
   }
-  if (corpus->file_base.size() != corpus->partitions.size()) {
-    return Status::InvalidArgument("corpus file_base/partitions mismatch");
+  std::vector<uint32_t> all(corpus->partitions.size());
+  for (uint32_t d = 0; d < all.size(); ++d) all[d] = d;
+  return Create(corpus, std::move(all), options);
+}
+
+Result<std::unique_ptr<BatchEngine>> BatchEngine::Create(
+    const PartitionedCorpus* corpus, std::vector<uint32_t> documents,
+    const Options& options) {
+  if (corpus == nullptr || documents.empty()) {
+    return Status::InvalidArgument("batch needs at least one document");
+  }
+  GTADOC_RETURN_IF_ERROR(corpus->CheckServable());
+  for (uint32_t d : documents) {
+    if (d >= corpus->partitions.size()) {
+      return Status::InvalidArgument("batch document " + std::to_string(d) +
+                                     " is outside the corpus");
+    }
   }
   if (options.engine.shared_device != nullptr ||
       options.engine.shared_pool != nullptr) {
@@ -31,12 +47,13 @@ Result<std::unique_ptr<BatchEngine>> BatchEngine::Create(
     return Status::InvalidArgument(
         "CPU backend needs cost-model parameters (Options::cpu.ghz > 0)");
   }
-  std::unique_ptr<BatchEngine> engine(new BatchEngine(corpus, options));
+  std::unique_ptr<BatchEngine> engine(
+      new BatchEngine(corpus, std::move(documents), options));
   if (engine->options_.engine.plan_cache == nullptr) {
     // One plan cache for every worker context and every Run: same-shape
     // repeat documents skip planning entirely (the serving warm path).
     engine->owned_plan_cache_ = std::make_shared<PlanCache>(
-        std::max<size_t>(256, 4 * corpus->partitions.size()));
+        std::max<size_t>(256, 4 * engine->docs_.size()));
     engine->options_.engine.plan_cache = engine->owned_plan_cache_.get();
   }
   return engine;
@@ -132,10 +149,12 @@ Status BatchEngine::RunShard(Task task, const std::vector<uint8_t>* execute,
 
   std::unique_ptr<GTadocEngine> engine;
   for (size_t i = lo; i < hi; ++i) {
-    const Grammar* doc = &corpus_->partitions[i];
+    const uint32_t d = docs_[i];
+    const Grammar* doc = &corpus_->partitions[d];
+    const PreparedDocument* prepared = &corpus_->prepared[d];
     DocumentRun& out = (*runs)[i];
-    out.doc = static_cast<uint32_t>(i);
-    out.file_base = corpus_->file_base[i];
+    out.doc = d;
+    out.file_base = corpus_->file_base[d];
     if (execute != nullptr && (*execute)[i] == 0) {
       // Corpus-level pushdown: provably irrelevant document — no upload,
       // no plan, no traversal. It still contributes a (trivially empty)
@@ -149,7 +168,7 @@ Status BatchEngine::RunShard(Task task, const std::vector<uint8_t>* execute,
       continue;
     }
     if (cpu_backend) {
-      auto created = CpuTadocEngine::Create(doc, cpu_options);
+      auto created = CpuTadocEngine::Create(doc, prepared, cpu_options);
       if (!created.ok()) return created.status();
       auto run = created->Run(task);
       if (!run.ok()) return run.status();
@@ -159,12 +178,11 @@ Status BatchEngine::RunShard(Task task, const std::vector<uint8_t>* execute,
       continue;
     }
     if (engine != nullptr && options_.reuse_device_state) {
-      Status st = engine->Rebind(doc);
-      if (!st.ok()) return st;
+      engine->Rebind(doc, prepared);
     } else {
       // First document of the context, or the cold path: a fresh engine
       // (and device) per document — the baseline reuse is measured against.
-      auto created = GTadocEngine::Create(doc, eopt);
+      auto created = GTadocEngine::Create(doc, prepared, eopt);
       if (!created.ok()) return created.status();
       engine = std::move(*created);
     }
@@ -243,7 +261,7 @@ Result<BatchEngine::BatchRun> BatchEngine::Run(Task task) {
 Result<BatchEngine::BatchRun> BatchEngine::Run(
     Task task, const std::vector<uint8_t>& execute_mask) {
   Timer wall;
-  const size_t n = corpus_->partitions.size();
+  const size_t n = docs_.size();
   const std::vector<uint8_t>* execute = nullptr;
   if (!execute_mask.empty()) {
     if (execute_mask.size() != n) {

@@ -108,7 +108,7 @@ class BatchEngine {
 
   /// One document's run inside the batch.
   struct DocumentRun {
-    uint32_t doc = 0;        ///< document index in the corpus
+    uint32_t doc = 0;        ///< document index in the (global) corpus
     uint32_t file_base = 0;  ///< global file id of the document's file 0
     AnalyticsResult result;  ///< document-local file ids
     RunTiming timing;
@@ -143,6 +143,15 @@ class BatchEngine {
   /// pre-set shared_device/shared_pool.
   static Result<std::unique_ptr<BatchEngine>> Create(
       const PartitionedCorpus* corpus, const Options& options);
+  /// A batch over the listed documents only (global corpus indices; the
+  /// batch's i-th document is documents[i]) — one device's slice of a
+  /// sharded corpus, served from the one global corpus and its prepared
+  /// records without copying any grammar. Execute masks and BatchRun
+  /// document order follow the list; DocumentRun::doc and file_base stay
+  /// global. Fails on an empty list or an index out of range.
+  static Result<std::unique_ptr<BatchEngine>> Create(
+      const PartitionedCorpus* corpus, std::vector<uint32_t> documents,
+      const Options& options);
 
   /// Runs one task over every document and merges.
   Result<BatchRun> Run(Task task);
@@ -166,7 +175,8 @@ class BatchEngine {
                                         uint32_t num_files,
                                         AnalyticsResult* out);
 
-  /// Like Run, but executes only documents with execute_mask[d] != 0.
+  /// Like Run, but executes only documents with execute_mask[i] != 0
+  /// (i indexes the batch's document list).
   /// Skipped documents still contribute a DocumentRun — the kernel's
   /// assembly of zero drained entries, with zero timing — so the merged
   /// corpus view is bit-identical to an unmasked Run whenever the mask only
@@ -175,18 +185,19 @@ class BatchEngine {
   /// size mismatch is InvalidArgument.
   Result<BatchRun> Run(Task task, const std::vector<uint8_t>& execute_mask);
 
-  size_t num_documents() const { return corpus_->partitions.size(); }
+  size_t num_documents() const { return docs_.size(); }
   uint32_t total_files() const { return corpus_->total_files; }
   const Options& options() const { return options_; }
   /// The plan cache shared by every worker context (serving diagnostics).
   PlanCache* plan_cache() const { return options_.engine.plan_cache; }
 
  private:
-  BatchEngine(const PartitionedCorpus* corpus, const Options& options)
-      : corpus_(corpus), options_(options) {}
+  BatchEngine(const PartitionedCorpus* corpus, std::vector<uint32_t> docs,
+              const Options& options)
+      : corpus_(corpus), docs_(std::move(docs)), options_(options) {}
 
-  /// Runs documents [lo, hi) on one worker's device context, writing into
-  /// (*runs)[lo..hi); documents with execute[d] == 0 (null = run all) get
+  /// Runs list positions [lo, hi) on one worker's device context, writing
+  /// into (*runs)[lo..hi); positions with execute[i] == 0 (null = run all) get
   /// empty assembled results without touching the device. `*mid_run_growths`
   /// receives the context pool's growths after the presize. Returns the
   /// first failure.
@@ -200,6 +211,8 @@ class BatchEngine {
                           uint64_t merge_ops) const;
 
   const PartitionedCorpus* corpus_;
+  /// The batch's documents as global corpus indices.
+  std::vector<uint32_t> docs_;
   Options options_;
   /// Backing storage when the caller preset no options.engine.plan_cache.
   std::shared_ptr<PlanCache> owned_plan_cache_;

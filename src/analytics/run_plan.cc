@@ -33,19 +33,6 @@ uint64_t HashU32Vector(uint64_t seed, const std::vector<uint32_t>& v) {
 
 }  // namespace
 
-uint64_t GrammarFingerprint(const Grammar& g) {
-  uint64_t h = HashCombine(HashCombine(0x47544443ull, g.num_words),
-                           g.num_splitters);
-  h = HashCombine(h, g.rules.size());
-  for (const auto& body : g.rules) {
-    h = HashCombine(h, body.size());
-    if (!body.empty()) {
-      h = HashCombine(h, Fnv1a64(body.data(), body.size() * sizeof(uint32_t)));
-    }
-  }
-  return h;
-}
-
 uint64_t PlanShape::Fingerprint() const {
   uint64_t h = HashCombine(0x706c616eull, input.ngram_len);
   h = HashCombine(h, input.top_k);

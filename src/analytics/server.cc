@@ -117,9 +117,10 @@ CorpusServer::CorpusServer(const PartitionedCorpus* corpus,
 
 Result<std::unique_ptr<CorpusServer>> CorpusServer::Create(
     const PartitionedCorpus* corpus, const Options& options) {
-  if (corpus == nullptr || corpus->partitions.empty()) {
+  if (corpus == nullptr) {
     return Status::InvalidArgument("server needs at least one document");
   }
+  GTADOC_RETURN_IF_ERROR(corpus->CheckServable());
   if (options.engine.shared_device != nullptr ||
       options.engine.shared_pool != nullptr) {
     return Status::InvalidArgument(
@@ -200,19 +201,20 @@ Status CorpusServer::ProbeGpuPlans(PendingRun* run) {
   // the shared cache, so this is the ONLY time planning is charged — the
   // execution contexts resolve every plan as a cache hit. Each plan's
   // backend-priced estimate sums into the run's GPU-side dispatch input.
+  // Rebind is free: the probe binds a device grammar only to plan a miss.
   std::vector<uint64_t>& doc_slots = run->doc_slots;
   doc_slots.assign(n, 0);
   std::unique_ptr<GTadocEngine> probe;
   for (size_t d = 0; d < n; ++d) {
     if (!mask.empty() && mask[d] == 0) continue;
     const Grammar* doc = &corpus_->partitions[d];
+    const PreparedDocument* prepared = &corpus_->prepared[d];
     if (probe == nullptr) {
-      auto created = GTadocEngine::Create(doc, run->engine);
+      auto created = GTadocEngine::Create(doc, prepared, run->engine);
       if (!created.ok()) return created.status();
       probe = std::move(*created);
     } else {
-      Status st = probe->Rebind(doc);
-      if (!st.ok()) return st;
+      probe->Rebind(doc, prepared);
     }
     probe->device()->ResetClock();
     auto plan = probe->PlanOnly(run->task);
@@ -238,7 +240,8 @@ Status CorpusServer::ProbeCpuEstimate(PendingRun* run) {
   copt.plan_cache = plan_cache_.get();
   for (size_t d = 0; d < corpus_->partitions.size(); ++d) {
     if (!mask.empty() && mask[d] == 0) continue;
-    auto probe = CpuTadocEngine::Create(&corpus_->partitions[d], copt);
+    auto probe = CpuTadocEngine::Create(&corpus_->partitions[d],
+                                        &corpus_->prepared[d], copt);
     if (!probe.ok()) return probe.status();
     double probe_seconds = 0.0;
     auto plan =

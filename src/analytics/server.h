@@ -509,10 +509,10 @@ class CorpusServer {
                                     const RunRequest& request,
                                     const RunOptions& run_options);
   /// Plans every executed document on a GPU probe engine (Rebind + PlanOnly
-  /// against the shared cache), filling doc_slots, the GPU-side cost
-  /// estimate, and the probe's admission_seconds. Reserves nothing; the
-  /// footprint is priced by FinalizeGpuFootprint only if the run dispatches
-  /// to the GPU.
+  /// against the shared cache; a cached plan binds no device grammar),
+  /// filling doc_slots, the GPU-side cost estimate, and the probe's
+  /// admission_seconds. Reserves nothing; the footprint is priced by
+  /// FinalizeGpuFootprint only if the run dispatches to the GPU.
   Status ProbeGpuPlans(PendingRun* run);
   /// Prices the GPU-dispatched run's device footprint from the probed
   /// doc_slots (executing contexts x the per-context maximum plan

@@ -10,13 +10,11 @@ namespace gtadoc {
 
 Result<std::unique_ptr<ShardedCorpus>> ShardedCorpus::Create(
     const PartitionedCorpus* corpus, const Options& options) {
-  if (corpus == nullptr || corpus->partitions.empty()) {
+  if (corpus == nullptr) {
     return Status::InvalidArgument(
         "sharded corpus needs at least one document");
   }
-  if (corpus->file_base.size() != corpus->partitions.size()) {
-    return Status::InvalidArgument("corpus file_base/partitions mismatch");
-  }
+  GTADOC_RETURN_IF_ERROR(corpus->CheckServable());
   const size_t num_devices = std::max<size_t>(1, options.num_devices);
   const size_t replication =
       std::min(num_devices, std::max<size_t>(1, options.replication));
@@ -24,26 +22,14 @@ Result<std::unique_ptr<ShardedCorpus>> ShardedCorpus::Create(
   std::unique_ptr<ShardedCorpus> sharded(new ShardedCorpus());
   sharded->corpus_ = corpus;
   sharded->replication_ = replication;
-  sharded->device_corpus_.resize(num_devices);
   sharded->device_docs_.resize(num_devices);
-  sharded->global_to_local_.resize(num_devices);
   sharded->doc_replicas_.resize(corpus->partitions.size());
-  for (PartitionedCorpus& slice : sharded->device_corpus_) {
-    // Every slice keeps the GLOBAL file count: per-device DocumentRuns then
-    // carry global file bases and gather needs no re-indexing.
-    slice.total_files = corpus->total_files;
-  }
 
   for (uint32_t g = 0; g < corpus->partitions.size(); ++g) {
     const size_t primary = g % num_devices;
     for (size_t r = 0; r < replication; ++r) {
       const size_t d = (primary + r) % num_devices;
-      const uint32_t local =
-          static_cast<uint32_t>(sharded->device_docs_[d].size());
       sharded->device_docs_[d].push_back(g);
-      sharded->global_to_local_[d][g] = local;
-      sharded->device_corpus_[d].partitions.push_back(corpus->partitions[g]);
-      sharded->device_corpus_[d].file_base.push_back(corpus->file_base[g]);
       sharded->doc_replicas_[g].push_back(static_cast<uint32_t>(d));
     }
   }
@@ -82,7 +68,10 @@ ShardedCorpus::RoutePlan ShardedCorpus::Route(
                       ? static_cast<double>(doc_slots[g])
                       : 1.0;
     plan.doc_device[g] = best;
-    plan.doc_local[g] = global_to_local_[best].at(g);
+    // device_docs_ lists are ascending: the local index is a binary search.
+    const std::vector<uint32_t>& docs = device_docs_[best];
+    plan.doc_local[g] = static_cast<uint32_t>(
+        std::lower_bound(docs.begin(), docs.end(), g) - docs.begin());
     plan.device_masks[best][plan.doc_local[g]] = 1;
     ++plan.device_documents[best];
   }
@@ -131,7 +120,7 @@ Result<DeviceGroup::RunResult> DeviceGroup::Execute(const RunSpec& spec) {
         if (!r.skipped) notify(r);
       };
     }
-    auto engine = BatchEngine::Create(&corpus_->device_corpus(d), bopt);
+    auto engine = BatchEngine::Create(global, corpus_->device_docs(d), bopt);
     if (!engine.ok()) return engine.status();
     auto run = (*engine)->Run(spec.task, route.device_masks[d]);
     if (!run.ok()) return run.status();
@@ -168,7 +157,6 @@ Result<DeviceGroup::RunResult> DeviceGroup::Execute(const RunSpec& spec) {
     } else {
       BatchEngine::BatchRun& source = *device_runs[route.doc_device[g]];
       doc = std::move(source.documents[route.doc_local[g]]);
-      doc.doc = g;  // local shard index -> global (file_base already global)
     }
   }
   for (const std::optional<BatchEngine::BatchRun>& run : device_runs) {

@@ -3,7 +3,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <map>
 #include <memory>
 #include <vector>
 
@@ -20,14 +19,16 @@ namespace gtadoc {
 /// corpus still spread across devices. With `replication` R > 1 each
 /// document additionally lives on the R-1 devices following its primary
 /// (mod N) — hot documents can then be served by whichever replica is least
-/// loaded, at the cost of R grammar copies of device memory.
+/// loaded, at the cost of R grammar copies of (simulated) device memory.
 ///
-/// Each device owns a self-contained PartitionedCorpus slice whose file_base
-/// entries stay GLOBAL file ids, so a per-device BatchEngine's DocumentRuns
-/// come back gather-ready: the cross-device merge is the same
-/// MergeResult-in-corpus-order pass a single-device batch performs, which is
-/// what keeps sharded results bit-identical to a one-device serial run under
-/// every shard count and replication factor.
+/// A device's slice is a list of global document indices, not a copy: its
+/// BatchEngine runs over that list against the one global corpus, its
+/// grammars and their prepared records. DocumentRuns therefore carry GLOBAL
+/// document indices and file ids and come back gather-ready: the
+/// cross-device merge is the same MergeResult-in-corpus-order pass a
+/// single-device batch performs, which is what keeps sharded results
+/// bit-identical to a one-device serial run under every shard count and
+/// replication factor.
 class ShardedCorpus {
  public:
   /// Route() verdict for a document no device executes (root-Bloom skipped
@@ -56,22 +57,17 @@ class ShardedCorpus {
     std::vector<uint32_t> device_documents;
   };
 
-  /// The corpus must outlive the sharded view (device slices copy the
-  /// grammars but global gather metadata points back into it). Fails on an
-  /// empty corpus.
+  /// The corpus must outlive the sharded view: device slices are index
+  /// lists into it. Fails on an empty or unprepared corpus.
   static Result<std::unique_ptr<ShardedCorpus>> Create(
       const PartitionedCorpus* corpus, const Options& options);
 
-  size_t num_devices() const { return device_corpus_.size(); }
+  size_t num_devices() const { return device_docs_.size(); }
   size_t replication() const { return replication_; }
   const PartitionedCorpus* global_corpus() const { return corpus_; }
-  /// Device d's slice; may hold zero documents when the corpus is smaller
-  /// than the device count.
-  const PartitionedCorpus& device_corpus(size_t d) const {
-    return device_corpus_[d];
-  }
-  /// Device d's documents as global corpus indices (ascending; the local
-  /// index of device_docs(d)[i] is i).
+  /// Device d's slice: its documents as global corpus indices (ascending;
+  /// the local index of device_docs(d)[i] is i). Empty when the corpus is
+  /// smaller than the device count.
   const std::vector<uint32_t>& device_docs(size_t d) const {
     return device_docs_[d];
   }
@@ -97,11 +93,8 @@ class ShardedCorpus {
 
   const PartitionedCorpus* corpus_ = nullptr;
   size_t replication_ = 1;
-  std::vector<PartitionedCorpus> device_corpus_;
   std::vector<std::vector<uint32_t>> device_docs_;
   std::vector<std::vector<uint32_t>> doc_replicas_;
-  /// Per device: global doc index -> local index.
-  std::vector<std::map<uint32_t, uint32_t>> global_to_local_;
 };
 
 /// \brief Scatter/gather executor over a ShardedCorpus — the N-GPU

@@ -1,40 +1,67 @@
 #include "format/dag.h"
 
 #include <algorithm>
-#include <deque>
-#include <unordered_map>
+#include <atomic>
+
+#include "common/hash.h"
 
 namespace gtadoc {
 
+namespace {
+
+std::atomic<uint64_t> g_dag_builds{0};
+
+/// Appends the (id, count) pairs of `touched` (ids whose `count` is
+/// non-zero, in any order) sorted by id, and zeroes their counters.
+void EmitSorted(std::vector<uint32_t>* touched, std::vector<uint32_t>* count,
+                std::vector<uint32_t>* ids, std::vector<uint32_t>* freqs) {
+  std::sort(touched->begin(), touched->end());
+  for (uint32_t id : *touched) {
+    ids->push_back(id);
+    freqs->push_back((*count)[id]);
+    (*count)[id] = 0;
+  }
+  touched->clear();
+}
+
+}  // namespace
+
+uint64_t DagView::builds() {
+  return g_dag_builds.load(std::memory_order_relaxed);
+}
+
 Result<DagView> DagView::Build(const Grammar& g) {
+  g_dag_builds.fetch_add(1, std::memory_order_relaxed);
   if (g.rules.empty()) return Status::Corruption("grammar has no rules");
   if (g.rules[0].empty()) return Status::Corruption("root rule is empty");
-  const size_t n = g.rules.size();
+  const uint32_t n = static_cast<uint32_t>(g.rules.size());
 
   DagView v;
-  v.children_.resize(n);
-  v.words_.resize(n);
-  v.parents_.resize(n);
-  v.in_edges_nonroot_.assign(n, 0);
-  v.root_freq_.assign(n, 0);
-  v.depth_.assign(n, 0);
-  v.body_size_.assign(n, 0);
+  Arrays& a = v.a_;
+  a.child_off.assign(n + 1, 0);
+  a.word_off.assign(n + 1, 0);
+  a.body_size.assign(n, 0);
 
-  // Aggregate bodies. A scratch map per rule keeps construction O(body).
-  std::unordered_map<uint32_t, uint32_t> child_freq;
-  std::unordered_map<uint32_t, uint32_t> word_freq;
+  // Aggregate bodies with dense per-id counters: a counter is bumped per
+  // occurrence and its id remembered on first touch, so each rule costs
+  // O(body + distinct log distinct) and resets only what it touched. Word
+  // ids are sorted and run-length counted instead: num_words may be far
+  // larger than any body (a hostile header), so no word-indexed array is
+  // allocated.
+  std::vector<uint32_t> child_count(n, 0);
+  std::vector<uint32_t> touched;
+  std::vector<uint32_t> words;
   for (uint32_t r = 0; r < n; ++r) {
-    child_freq.clear();
-    word_freq.clear();
-    v.body_size_[r] = static_cast<uint32_t>(g.rules[r].size());
-    for (uint32_t sym : g.rules[r]) {
+    const std::vector<uint32_t>& body = g.rules[r];
+    a.body_size[r] = static_cast<uint32_t>(body.size());
+    for (uint32_t sym : body) {
       if (g.IsRule(sym)) {
         const uint32_t child = g.RuleIndex(sym);
         if (child >= n) return Status::Corruption("rule id out of range");
         if (child == r) return Status::Corruption("rule references itself");
-        ++child_freq[child];
+        if (child_count[child]++ == 0) touched.push_back(child);
       } else if (g.IsWord(sym)) {
-        ++word_freq[sym];
+        words.push_back(sym);
       } else {
         // Splitters may only appear in the root.
         if (r != 0) return Status::Corruption("splitter outside root rule");
@@ -43,57 +70,91 @@ Result<DagView> DagView::Build(const Grammar& g) {
         }
       }
     }
-    v.children_[r].reserve(child_freq.size());
-    for (const auto& [child, freq] : child_freq) {
-      v.children_[r].push_back(RuleChildEntry{child, freq});
+    EmitSorted(&touched, &child_count, &a.child_id, &a.child_freq);
+    a.child_off[r + 1] = static_cast<uint32_t>(a.child_id.size());
+    std::sort(words.begin(), words.end());
+    for (size_t i = 0; i < words.size();) {
+      size_t j = i + 1;
+      while (j < words.size() && words[j] == words[i]) ++j;
+      a.word_id.push_back(words[i]);
+      a.word_freq.push_back(static_cast<uint32_t>(j - i));
+      i = j;
     }
-    std::sort(v.children_[r].begin(), v.children_[r].end(),
-              [](const RuleChildEntry& a, const RuleChildEntry& b) {
-                return a.child < b.child;
-              });
-    v.words_[r].reserve(word_freq.size());
-    for (const auto& [word, freq] : word_freq) {
-      v.words_[r].push_back(RuleWordEntry{word, freq});
-    }
-    std::sort(v.words_[r].begin(), v.words_[r].end(),
-              [](const RuleWordEntry& a, const RuleWordEntry& b) {
-                return a.word < b.word;
-              });
+    words.clear();
+    a.word_off[r + 1] = static_cast<uint32_t>(a.word_id.size());
   }
 
-  // Parents, in-edge counts, root frequencies.
+  // Parents (CSR, ascending parent index), in-edge counts, root
+  // frequencies. child_count is all zeros again and doubles as the fill
+  // cursor.
+  a.parent_off.assign(n + 1, 0);
+  a.in_edges_nonroot.assign(n, 0);
+  a.root_freq.assign(n, 0);
   for (uint32_t r = 0; r < n; ++r) {
-    for (const RuleChildEntry& e : v.children_[r]) {
-      v.parents_[e.child].push_back(r);
-      if (r != 0) ++v.in_edges_nonroot_[e.child];
-      if (r == 0) v.root_freq_[e.child] = e.freq;
+    for (uint32_t e = a.child_off[r]; e < a.child_off[r + 1]; ++e) {
+      const uint32_t c = a.child_id[e];
+      ++a.parent_off[c + 1];
+      if (r != 0) ++a.in_edges_nonroot[c];
+      if (r == 0) a.root_freq[c] = a.child_freq[e];
+    }
+  }
+  for (uint32_t r = 0; r < n; ++r) a.parent_off[r + 1] += a.parent_off[r];
+  a.parent_id.resize(a.parent_off[n]);
+  std::vector<uint32_t>& cursor = child_count;
+  for (uint32_t r = 0; r < n; ++r) {
+    for (uint32_t e = a.child_off[r]; e < a.child_off[r + 1]; ++e) {
+      const uint32_t c = a.child_id[e];
+      a.parent_id[a.parent_off[c] + cursor[c]++] = r;
     }
   }
 
   // Kahn topological sort from the root; also computes depths and rejects
-  // cycles and rules unreachable from the root.
-  std::vector<uint32_t> pending(n, 0);
-  for (uint32_t r = 0; r < n; ++r) {
-    pending[r] = static_cast<uint32_t>(v.parents_[r].size());
-  }
-  std::deque<uint32_t> ready;
-  if (pending[0] != 0) return Status::Corruption("root rule has a parent");
-  ready.push_back(0);
-  v.topo_order_.reserve(n);
-  while (!ready.empty()) {
-    const uint32_t r = ready.front();
-    ready.pop_front();
-    v.topo_order_.push_back(r);
-    for (const RuleChildEntry& e : v.children_[r]) {
-      v.depth_[e.child] = std::max(v.depth_[e.child], v.depth_[r] + 1);
-      if (--pending[e.child] == 0) ready.push_back(e.child);
+  // cycles and rules unreachable from the root. topo_order doubles as the
+  // FIFO queue.
+  if (a.parent_off[1] != 0) return Status::Corruption("root rule has a parent");
+  std::vector<uint32_t>& pending = cursor;  // distinct parents per rule
+  a.depth.assign(n, 0);
+  a.topo_order.reserve(n);
+  a.topo_order.push_back(0);
+  for (size_t head = 0; head < a.topo_order.size(); ++head) {
+    const uint32_t r = a.topo_order[head];
+    for (uint32_t e = a.child_off[r]; e < a.child_off[r + 1]; ++e) {
+      const uint32_t c = a.child_id[e];
+      a.depth[c] = std::max(a.depth[c], a.depth[r] + 1);
+      if (--pending[c] == 0) a.topo_order.push_back(c);
     }
   }
-  if (v.topo_order_.size() != n) {
+  if (a.topo_order.size() != n) {
     return Status::Corruption("grammar has a cycle or unreachable rules");
   }
-  v.max_depth_ = *std::max_element(v.depth_.begin(), v.depth_.end());
+  v.max_depth_ = *std::max_element(a.depth.begin(), a.depth.end());
+  for (std::vector<uint32_t>* grown :
+       {&a.child_id, &a.child_freq, &a.word_id, &a.word_freq}) {
+    grown->shrink_to_fit();
+  }
   return v;
+}
+
+uint64_t GrammarFingerprint(const Grammar& g) {
+  uint64_t h = HashCombine(HashCombine(0x47544443ull, g.num_words),
+                           g.num_splitters);
+  h = HashCombine(h, g.rules.size());
+  for (const auto& body : g.rules) {
+    h = HashCombine(h, body.size());
+    if (!body.empty()) {
+      h = HashCombine(h, Fnv1a64(body.data(), body.size() * sizeof(uint32_t)));
+    }
+  }
+  return h;
+}
+
+Result<PreparedDocument> PreparedDocument::Prepare(const Grammar& g) {
+  auto dag = DagView::Build(g);
+  if (!dag.ok()) return dag.status();
+  PreparedDocument doc;
+  doc.dag = std::move(*dag);
+  doc.fingerprint = GrammarFingerprint(g);
+  return doc;
 }
 
 Result<DagStats> ComputeDagStats(const Grammar& g) {

@@ -166,7 +166,7 @@ class Device {
 template <typename T>
 class DeviceBuffer {
  public:
-  DeviceBuffer() : device_(nullptr) {}
+  DeviceBuffer() = default;
   /// Value-initializes `count` elements (atomics become zero). Works for
   /// non-copyable T such as std::atomic.
   DeviceBuffer(Device* device, size_t count) : device_(device), data_(count) {
@@ -207,7 +207,9 @@ class DeviceBuffer {
       device_ = nullptr;
     }
   }
-  Device* device_;
+  /// Initialized here so the move constructor's Release() of the
+  /// not-yet-owning buffer reads null, not an indeterminate pointer.
+  Device* device_ = nullptr;
   std::vector<T> data_;
 };
 

@@ -19,34 +19,20 @@ size_t DeviceGrammar::DeviceBytes() const {
   return bytes;
 }
 
-DeviceGrammar DeviceGrammar::Build(const Grammar& g, const DagView& dag,
-                                   gpu::Device* device, bool charge_pcie) {
-  DeviceGrammar d;
-  d.Rebind(g, dag, device, charge_pcie);
-  return d;
-}
-
 void DeviceGrammar::Rebind(const Grammar& g, const DagView& dag,
                            gpu::Device* device, bool charge_pcie) {
   DeviceGrammar& d = *this;
+  const DagView::Arrays& a = dag.arrays();
   const uint32_t n = static_cast<uint32_t>(dag.num_rules());
   d.num_rules = n;
   d.num_words = g.num_words;
   d.num_files = g.num_files();
 
   // The CSR arrays live in one packed device arena (DeviceBytes() is its
-  // size): a cold Build pays its allocation call, and a Rebind pays again
-  // only when the new document outgrows some array's storage — a Rebind onto
-  // a same-shaped document pays nothing. Reserving up front means the fills
-  // below never reallocate.
+  // size): the allocation call is charged when some array's storage is
+  // outgrown. Reserving up front means the fills below never reallocate.
   uint64_t body_total = 0;
-  uint32_t child_total = 0, word_total = 0, parent_total = 0;
-  for (uint32_t r = 0; r < n; ++r) {
-    body_total += g.rules[r].size();
-    child_total += static_cast<uint32_t>(dag.children(r).size());
-    word_total += static_cast<uint32_t>(dag.words(r).size());
-    parent_total += static_cast<uint32_t>(dag.parents(r).size());
-  }
+  for (uint32_t r = 0; r < n; ++r) body_total += g.rules[r].size();
   uint64_t grown = 0;
   auto fit = [&grown](auto& vec, size_t need) {
     if (need > vec.capacity()) {
@@ -60,54 +46,36 @@ void DeviceGrammar::Rebind(const Grammar& g, const DagView& dag,
   fit(d.child_off, n + 1);
   fit(d.word_off, n + 1);
   fit(d.parent_off, n + 1);
-  fit(d.child_id, child_total);
-  fit(d.child_freq, child_total);
-  fit(d.word_id, word_total);
-  fit(d.word_freq, word_total);
-  fit(d.parent_id, parent_total);
+  fit(d.child_id, a.child_id.size());
+  fit(d.child_freq, a.child_id.size());
+  fit(d.word_id, a.word_id.size());
+  fit(d.word_freq, a.word_id.size());
+  fit(d.parent_id, a.parent_id.size());
   fit(d.in_edges_nonroot, n);
   fit(d.num_children, n);
   fit(d.root_freq, n);
   fit(d.root_file_of_pos, g.rules[0].size());
-  fit(d.edge_index_in_child, child_total);
+  fit(d.edge_index_in_child, a.child_id.size());
   if (grown > 0) device->ChargeDeviceAlloc(1);
 
   d.body_off.resize(n + 1, 0);
   for (uint32_t r = 0; r < n; ++r) {
     d.body_off[r + 1] = d.body_off[r] + g.rules[r].size();
-  }
-  for (uint32_t r = 0; r < n; ++r) {
     d.body_sym.insert(d.body_sym.end(), g.rules[r].begin(), g.rules[r].end());
   }
-
-  d.child_off.resize(n + 1, 0);
-  d.word_off.resize(n + 1, 0);
-  d.parent_off.resize(n + 1, 0);
-  for (uint32_t r = 0; r < n; ++r) {
-    d.child_off[r + 1] = d.child_off[r] +
-                         static_cast<uint32_t>(dag.children(r).size());
-    d.word_off[r + 1] =
-        d.word_off[r] + static_cast<uint32_t>(dag.words(r).size());
-    d.parent_off[r + 1] =
-        d.parent_off[r] + static_cast<uint32_t>(dag.parents(r).size());
-  }
-  d.in_edges_nonroot.resize(n);
+  // The DAG view shares this SoA layout: bulk copies.
+  d.child_off = a.child_off;
+  d.child_id = a.child_id;
+  d.child_freq = a.child_freq;
+  d.word_off = a.word_off;
+  d.word_id = a.word_id;
+  d.word_freq = a.word_freq;
+  d.parent_off = a.parent_off;
+  d.parent_id = a.parent_id;
+  d.in_edges_nonroot = a.in_edges_nonroot;
+  d.root_freq = a.root_freq;
   d.num_children.resize(n);
-  d.root_freq.resize(n);
-  for (uint32_t r = 0; r < n; ++r) {
-    for (const RuleChildEntry& e : dag.children(r)) {
-      d.child_id.push_back(e.child);
-      d.child_freq.push_back(e.freq);
-    }
-    for (const RuleWordEntry& w : dag.words(r)) {
-      d.word_id.push_back(w.word);
-      d.word_freq.push_back(w.freq);
-    }
-    for (uint32_t p : dag.parents(r)) d.parent_id.push_back(p);
-    d.in_edges_nonroot[r] = dag.num_in_edges_nonroot(r);
-    d.num_children[r] = dag.num_out_edges(r);
-    d.root_freq[r] = dag.root_freq(r);
-  }
+  for (uint32_t r = 0; r < n; ++r) d.num_children[r] = dag.num_out_edges(r);
   d.edge_index_in_child.assign(d.child_id.size(), 0);
 
   // Ship the compressed representation across PCIe (large datasets only; the

@@ -13,10 +13,11 @@ namespace gtadoc {
 /// \brief Device-resident grammar: the flat CSR arrays every G-TADOC kernel
 /// indexes by thread id.
 ///
-/// Built once per engine in the initialization phase; the byte total is
-/// charged as a host-to-device transfer. The root's per-position file ids are
-/// produced on-device by a prefix scan over the splitter indicator (the
-/// "light-weight scanning" of Figure 3).
+/// Bound per document in the engine's initialization phase from the
+/// document's prepared DagView (the same SoA layout, so a bind is bulk
+/// copies); the byte total is charged as a host-to-device transfer. The
+/// root's per-position file ids are produced on-device by a prefix scan
+/// over the splitter indicator (the "light-weight scanning" of Figure 3).
 struct DeviceGrammar {
   uint32_t num_rules = 0;
   uint32_t num_words = 0;
@@ -57,23 +58,17 @@ struct DeviceGrammar {
 
   size_t DeviceBytes() const;
 
-  /// Builds the arrays from a validated grammar + DAG view, launching the
-  /// root-scan kernels on `device`. When `charge_pcie` is set the H2D
-  /// transfer of the compressed data is charged; the paper assumes datasets
-  /// that fit in GPU memory are resident (Section VI-A), so engines default
-  /// to false and enable it only for the large-dataset experiments.
-  ///
-  /// The CSR arrays form one packed device arena whose allocation call is
-  /// charged to the device clock (a cold Build always pays it).
-  static DeviceGrammar Build(const Grammar& g, const DagView& dag,
-                             gpu::Device* device, bool charge_pcie = false);
-
-  /// Rebinds this arena to another document in place: array storage is
-  /// reused, and the arena allocation is re-charged only when the new
-  /// document outgrows it — the batch path that lets document i+1 skip the
-  /// per-document allocation bill a cold Build pays. The root-scan kernels
-  /// and the (optional) H2D transfer are charged as in Build; they are
-  /// per-document work that reuse cannot elide.
+  /// (Re)binds the arena to a validated grammar + its DAG view, launching
+  /// the root-scan kernels on `device`. The CSR arrays form one packed
+  /// device arena: its allocation call is charged only when the document
+  /// outgrows the arena's storage, so the first bind (a cold engine) always
+  /// pays it and a rebind onto a same-shaped document pays nothing — the
+  /// batch path that lets document i+1 skip the per-document allocation
+  /// bill. The root-scan kernels and, when `charge_pcie` is set, the H2D
+  /// transfer of the compressed data are per-document work that reuse
+  /// cannot elide; the paper assumes datasets that fit in GPU memory are
+  /// resident (Section VI-A), so engines default `charge_pcie` to false and
+  /// enable it only for the large-dataset experiments.
   void Rebind(const Grammar& g, const DagView& dag, gpu::Device* device,
               bool charge_pcie = false);
 };

@@ -87,8 +87,14 @@ class GTadocEngine {
     PlanCache* plan_cache = nullptr;
   };
 
-  /// Validates the grammar, builds the DAG view, the device grammar and the
-  /// memory pool (all charged to the init phase of every subsequent Run).
+  /// Creates an engine over a prepared document (`doc` = the document's
+  /// PreparedDocument record; both must outlive the engine). The device
+  /// grammar is bound on first need (see Rebind) and charged to the init
+  /// phase of every subsequent Run.
+  static Result<std::unique_ptr<GTadocEngine>> Create(
+      const Grammar* g, const PreparedDocument* doc, const Options& options);
+  /// Prepares `g` (validation, DAG view, fingerprint) into an engine-owned
+  /// record, then creates as above.
   static Result<std::unique_ptr<GTadocEngine>> Create(const Grammar* g,
                                                       const Options& options);
 
@@ -104,9 +110,10 @@ class GTadocEngine {
   /// before any traversal, upload or table build, so an admission controller
   /// can pack concurrent runs onto one device from plan metadata alone. On a
   /// cache miss the charged planning passes advance this engine's device
-  /// clock (callers bracket with ResetClock/SimSeconds to meter the probe);
-  /// a subsequent Run with the same shape is then a plan-cache hit and
-  /// reports plan_seconds == 0.
+  /// clock (callers bracket with ResetClock/SimSeconds to meter the probe;
+  /// a pending device-grammar bind happens first and the clock restarts
+  /// after it); a subsequent Run with the same shape is then a plan-cache
+  /// hit and reports plan_seconds == 0. A hit binds nothing.
   Result<std::shared_ptr<const RunPlan>> PlanOnly(
       Task task,
       TraversalStrategy strategy_override = TraversalStrategy::kAuto);
@@ -118,14 +125,17 @@ class GTadocEngine {
   /// the input the engines would use, with no risk of drift.
   static TaskInput InputFromOptions(const Options& options);
 
-  /// Re-targets the engine at another document without rebuilding the device
-  /// context: the device grammar is rebound in place (allocation calls are
-  /// charged only for arrays the new document outgrows) and subsequent Runs
-  /// charge the new document's init cost. The grammar must outlive the
-  /// engine. This is the batch warm path; a fresh Create is the cold path.
-  Status Rebind(const Grammar* g);
+  /// Re-targets the engine at another prepared document without rebuilding
+  /// the device context. No device work happens here: the device grammar
+  /// is rebound in place (allocation calls charged only for arrays the new
+  /// document outgrows) when first needed — at the top of Run, before its
+  /// clock starts, or by a PlanOnly that misses the plan cache — so a probe
+  /// whose plan is cached binds nothing. Subsequent Runs charge the new
+  /// document's init cost. Both pointers must outlive the engine. This is
+  /// the batch warm path; a fresh Create is the cold path.
+  void Rebind(const Grammar* g, const PreparedDocument* doc);
 
-  const DagView& dag() const { return dag_; }
+  const DagView& dag() const { return doc_->dag; }
   gpu::Device* device() { return device_; }
   TraversalStrategy ChosenStrategy(Task task) const;
   const Options& options() const { return options_; }
@@ -142,7 +152,8 @@ class GTadocEngine {
   uint32_t last_traversal_rounds() const { return last_rounds_; }
 
  private:
-  GTadocEngine(const Grammar* g, DagView dag, const Options& options);
+  GTadocEngine(const Grammar* g, const PreparedDocument* doc,
+               const Options& options);
 
   /// The engine's charged planning passes (engine.cc): relevance and bounds
   /// run as the genQueryReach / genLocTblBound mask-protocol device kernels,
@@ -223,8 +234,10 @@ class GTadocEngine {
   Status BuildRuleStates(const TaskKernel& kernel, const RunPlan& plan,
                          const PlannedLease& lease, uint32_t* rounds);
 
-  /// (Re)measures init-phase cost: device-grammar build/rebind + root scan.
-  void MeasureCreate(uint64_t ops_before, uint64_t h2d_before);
+  /// Binds the device grammar to the current document if a Create/Rebind
+  /// left it pending, measuring the init-phase cost (arena growth, root
+  /// scan, optional upload) on a freshly reset clock.
+  void BindDeviceGrammar();
 
   // --- shape drivers: pure executors of a RunPlan ---
   // top-down (topdown.cc)
@@ -247,9 +260,12 @@ class GTadocEngine {
                       AnalyticsResult* out, double* phase1_seconds);
 
   const Grammar* g_;
-  DagView dag_;
+  const PreparedDocument* doc_;
+  /// Backing storage when Create prepared the document itself.
+  std::unique_ptr<PreparedDocument> owned_doc_;
   Options options_;
-  uint64_t grammar_fp_ = 0;
+  /// True while dev_ holds a document other than doc_ (or none).
+  bool bind_pending_ = true;
   std::unique_ptr<gpu::Device> owned_device_;
   gpu::Device* device_ = nullptr;  ///< owned_device_ or options_.shared_device
   /// The engine's recycled state pool (used when options_.shared_pool is
@@ -259,9 +275,9 @@ class GTadocEngine {
   std::shared_ptr<PlanCache> owned_plan_cache_;
   PlanCache* plan_cache_ = nullptr;
   DeviceGrammar dev_;
-  /// Simulated seconds consumed by Create/Rebind (charged into every Run's
-  /// phase 1), and the H2D share of them that a batch can overlap with a
-  /// previous document's traversal.
+  /// Simulated seconds consumed by the device-grammar bind (charged into
+  /// every Run's phase 1), and the H2D share of them that a batch can
+  /// overlap with a previous document's traversal.
   double create_seconds_ = 0;
   double upload_seconds_ = 0;
   uint64_t create_ops_ = 0;

@@ -53,8 +53,15 @@ struct CpuTadocOptions : QuerySpec {
 /// measured.
 class CpuTadocEngine {
  public:
-  /// Validates the grammar and builds the DAG (counted as phase 1 on the
-  /// first Run; Create itself is cheap bookkeeping).
+  /// Creates an engine over a prepared document (`doc` = the document's
+  /// PreparedDocument record; both must outlive the engine). Cheap
+  /// bookkeeping: the DAG view's construction is still charged as phase 1
+  /// of every Run, as the baseline builds it per run.
+  static Result<CpuTadocEngine> Create(const Grammar* g,
+                                       const PreparedDocument* doc,
+                                       const CpuTadocOptions& options);
+  /// Prepares `g` (validation, DAG view, fingerprint) into an engine-owned
+  /// record, then creates as above.
   static Result<CpuTadocEngine> Create(const Grammar* g,
                                        const CpuTadocOptions& options);
 
@@ -75,7 +82,7 @@ class CpuTadocEngine {
       TraversalStrategy strategy_override = TraversalStrategy::kAuto,
       double* probe_seconds = nullptr);
 
-  const DagView& dag() const { return dag_; }
+  const DagView& dag() const { return doc_->dag; }
   /// The strategy the selector would pick for `task`.
   TraversalStrategy ChosenStrategy(Task task) const;
   /// The engine's plan cache (owned or shared; diagnostics/serving stats).
@@ -87,8 +94,9 @@ class CpuTadocEngine {
       TraversalStrategy strategy_override = TraversalStrategy::kAuto) const;
 
  private:
-  CpuTadocEngine(const Grammar* g, DagView dag, const CpuTadocOptions& options)
-      : g_(g), dag_(std::move(dag)), options_(options) {}
+  CpuTadocEngine(const Grammar* g, const PreparedDocument* doc,
+                 const CpuTadocOptions& options)
+      : g_(g), doc_(doc), options_(options) {}
 
   /// The engine's charged planning passes (cpu_engine.cc): relevance/bounds
   /// as metered reverse-topological loops, the GPU passes' twins.
@@ -126,9 +134,11 @@ class CpuTadocEngine {
   std::vector<uint32_t> RootFileIds(CpuCostMeter* meter) const;
 
   const Grammar* g_;
-  DagView dag_;
+  const PreparedDocument* doc_;
+  /// Backing storage when Create prepared the document itself (shared so
+  /// the value-type engine stays copyable).
+  std::shared_ptr<const PreparedDocument> owned_doc_;
   CpuTadocOptions options_;
-  uint64_t grammar_fp_ = 0;
   /// The engine's plan cache when options_.plan_cache is null (shared so the
   /// value-type engine stays copyable).
   std::shared_ptr<PlanCache> owned_plan_cache_;

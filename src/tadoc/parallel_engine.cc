@@ -1,20 +1,51 @@
 #include "tadoc/parallel_engine.h"
 
 #include <algorithm>
+#include <string>
 
 #include "common/timer.h"
 #include "sequitur/compressor.h"
 
 namespace gtadoc {
 
+namespace {
+
+/// Prepares `g` and appends it as the corpus' next partition.
+Status AddPartition(Grammar g, uint32_t file_base, PartitionedCorpus* out) {
+  auto prepared = PreparedDocument::Prepare(g);
+  if (!prepared.ok()) {
+    return Status::Corruption("document " +
+                              std::to_string(out->partitions.size()) + ": " +
+                              prepared.status().message());
+  }
+  out->prepared.push_back(std::move(*prepared));
+  out->file_base.push_back(file_base);
+  out->partitions.push_back(std::move(g));
+  return Status::OK();
+}
+
+}  // namespace
+
+Status PartitionedCorpus::CheckServable() const {
+  if (partitions.empty()) {
+    return Status::InvalidArgument("corpus has no documents");
+  }
+  if (file_base.size() != partitions.size() ||
+      prepared.size() != partitions.size()) {
+    return Status::InvalidArgument(
+        "corpus needs one file_base and one prepared record per partition");
+  }
+  return Status::OK();
+}
+
 Result<PartitionedCorpus> CorpusFromDocuments(std::vector<Grammar> documents) {
   if (documents.empty()) return Status::InvalidArgument("no documents");
   PartitionedCorpus out;
   uint32_t base = 0;
   for (Grammar& g : documents) {
-    out.file_base.push_back(base);
-    base += g.num_files();
-    out.partitions.push_back(std::move(g));
+    const uint32_t files = g.num_files();
+    GTADOC_RETURN_IF_ERROR(AddPartition(std::move(g), base, &out));
+    base += files;
   }
   out.total_files = base;
   return out;
@@ -39,7 +70,7 @@ Result<PartitionedCorpus> PartitionAndCompress(const Corpus& corpus,
   for (uint32_t p = 0; p < num_partitions; ++p) {
     const size_t target = total * (p + 1) / num_partitions;
     const size_t remaining_parts = num_partitions - p;
-    out.file_base.push_back(static_cast<uint32_t>(file));
+    const uint32_t file_base = static_cast<uint32_t>(file);
     std::vector<std::vector<uint32_t>> part_files;
     const bool last = p + 1 == num_partitions;
     while (file < tokens.file_tokens.size() &&
@@ -52,16 +83,14 @@ Result<PartitionedCorpus> PartitionAndCompress(const Corpus& corpus,
     auto g = CompressTokenStreams(part_files,
                                   static_cast<uint32_t>(tokens.words.size()));
     if (!g.ok()) return g.status();
-    out.partitions.push_back(std::move(*g));
+    GTADOC_RETURN_IF_ERROR(AddPartition(std::move(*g), file_base, &out));
   }
   return out;
 }
 
 Result<ParallelTadocEngine> ParallelTadocEngine::Create(
     const PartitionedCorpus* corpus, const CpuTadocOptions& options) {
-  if (corpus->partitions.empty()) {
-    return Status::InvalidArgument("no partitions");
-  }
+  GTADOC_RETURN_IF_ERROR(corpus->CheckServable());
   return ParallelTadocEngine(corpus, options);
 }
 
@@ -71,7 +100,8 @@ ParallelTadocEngine::RunPartitions(Task task) const {
   o.merged.task = task;
 
   for (size_t p = 0; p < corpus_->partitions.size(); ++p) {
-    auto engine = CpuTadocEngine::Create(&corpus_->partitions[p], options_);
+    auto engine = CpuTadocEngine::Create(&corpus_->partitions[p],
+                                         &corpus_->prepared[p], options_);
     if (!engine.ok()) return engine.status();
     auto run = engine->Run(task);
     if (!run.ok()) return run.status();

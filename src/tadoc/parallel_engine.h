@@ -17,22 +17,33 @@ namespace gtadoc {
 /// follows a merge process").
 ///
 /// Partition p owns global files [file_base[p], file_base[p] + nfiles_p).
+/// prepared[p] is partition p's PreparedDocument record — its validated DAG
+/// view and plan-key fingerprint, built once here and shared by every
+/// probe, engine and device that serves the document. The constructors
+/// below fill every field; the grammars must not change afterwards.
 struct PartitionedCorpus {
   std::vector<Grammar> partitions;
+  std::vector<PreparedDocument> prepared;
   std::vector<uint32_t> file_base;
   uint32_t total_files = 0;
+
+  /// InvalidArgument unless the corpus is non-empty and every per-document
+  /// vector has one entry per partition (the engines' precondition).
+  Status CheckServable() const;
 };
 
 /// Splits files round-robin-contiguously into `num_partitions` groups and
-/// compresses each independently. Partitions are balanced by byte size.
+/// compresses and prepares each independently. Partitions are balanced by
+/// byte size.
 Result<PartitionedCorpus> PartitionAndCompress(const Corpus& corpus,
                                                uint32_t num_partitions);
 
 /// Wraps already-compressed documents as a partitioned corpus (file_base =
-/// running file totals). The documents must share one word-id space
-/// (CompressTokenStreams against a common dictionary); this is the input
-/// both the batch GPU engine and this CPU baseline consume, so their
-/// simulated times stay comparable.
+/// running file totals), preparing each one. A malformed grammar is a
+/// Corruption here, at load time, naming the document. The documents must
+/// share one word-id space (CompressTokenStreams against a common
+/// dictionary); this is the input both the batch GPU engine and this CPU
+/// baseline consume, so their simulated times stay comparable.
 Result<PartitionedCorpus> CorpusFromDocuments(std::vector<Grammar> documents);
 
 /// \brief Coarse-grained parallel CPU TADOC ([4]) and its distributed

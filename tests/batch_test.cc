@@ -296,7 +296,7 @@ TEST(EngineRebindTest, RebindMatchesColdEngine) {
   auto first = (*engine)->Run(Task::kWordCount);
   ASSERT_TRUE(first.ok());
 
-  ASSERT_TRUE((*engine)->Rebind(&corpus.partitions[1]).ok());
+  (*engine)->Rebind(&corpus.partitions[1], &corpus.prepared[1]);
   auto second = (*engine)->Run(Task::kWordCount);
   ASSERT_TRUE(second.ok());
 
@@ -357,7 +357,7 @@ TEST(RunTimingTest, AssemblyCostsFoldIdenticallyOnColdAndRebindPaths) {
 
     auto rebound = GTadocEngine::Create(&corpus.partitions[0], GpuOptions());
     ASSERT_TRUE(rebound.ok());
-    ASSERT_TRUE((*rebound)->Rebind(&corpus.partitions[1]).ok());
+    (*rebound)->Rebind(&corpus.partitions[1], &corpus.prepared[1]);
     auto rebind_run = (*rebound)->Run(task);
     ASSERT_TRUE(rebind_run.ok());
 

@@ -9,9 +9,12 @@
 #include "analytics/server.h"
 #include "analytics/sharding.h"
 #include "datagen/datagen.h"
+#include "format/dag.h"
 #include "gpu/platform.h"
 #include "gtadoc/engine.h"
+#include "sequitur/compressor.h"
 #include "tadoc/cpu_engine.h"
+#include "tadoc/parallel_engine.h"
 
 namespace gtadoc {
 namespace {
@@ -550,6 +553,66 @@ TEST(DispatchTest, DeviceGroupRefusesCpuWork) {
   auto result = group.Execute(spec);
   EXPECT_FALSE(result.ok());
   EXPECT_TRUE(result.status().IsInvalidArgument());
+}
+
+// Prepare each document once: building the corpus builds one DagView per
+// document, and serving every task on 1 and 4 devices under both forced
+// backends builds none — probes, engines and devices all read the corpus'
+// prepared records.
+TEST(PreparedDocumentTest, ServingBuildsNoDagViews) {
+  constexpr uint32_t kDocs = 6;
+  DatasetSpec spec = DatasetA();
+  spec.num_files = 2 * kDocs;
+  spec.total_tokens = 1500 * kDocs;
+  spec.vocabulary = 64;
+  spec.seed = 41;
+  TokenizedCorpus tokens = GenerateTokens(spec);
+  const uint32_t num_words = static_cast<uint32_t>(tokens.words.size());
+  std::vector<Grammar> docs;
+  for (uint32_t d = 0; d < kDocs; ++d) {
+    auto g = CompressTokenStreams(
+        {tokens.file_tokens[2 * d], tokens.file_tokens[2 * d + 1]}, num_words);
+    ASSERT_TRUE(g.ok());
+    docs.push_back(std::move(*g));
+  }
+
+  const uint64_t before_load = DagView::builds();
+  auto corpus = CorpusFromDocuments(std::move(docs));
+  ASSERT_TRUE(corpus.ok()) << corpus.status().ToString();
+  EXPECT_EQ(DagView::builds() - before_load, kDocs);
+
+  for (size_t devices : {1, 4}) {
+    SCOPED_TRACE(devices);
+    for (CorpusServer::RunBackend backend :
+         {CorpusServer::RunBackend::kGpu, CorpusServer::RunBackend::kCpu}) {
+      SCOPED_TRACE(backend == CorpusServer::RunBackend::kCpu ? "cpu" : "gpu");
+      const uint64_t before_serve = DagView::builds();
+      CorpusServer::Options opt = HybridOptions(2);
+      opt.num_devices = devices;
+      auto server = CorpusServer::Create(&*corpus, opt);
+      ASSERT_TRUE(server.ok()) << server.status().ToString();
+      auto tenant = (*server)->OpenTenant({});
+      ASSERT_TRUE(tenant.ok());
+      CorpusServer::RunOptions run_options;
+      run_options.backend = backend;
+      std::vector<CorpusServer::RunTicket> tickets;
+      for (Task task : TaskRegistry::RegisteredTasks()) {
+        CorpusServer::RunRequest request;
+        request.task = task;
+        request.query_words = {1, 2};
+        auto submitted = tenant->Submit(request, run_options);
+        ASSERT_TRUE(submitted.ok()) << submitted.status().ToString();
+        ASSERT_TRUE(submitted->admitted());
+        tickets.push_back(*submitted->ticket);
+      }
+      for (CorpusServer::RunTicket& ticket : tickets) {
+        auto served = ticket.Await();
+        ASSERT_TRUE(served.ok()) << served.status().ToString();
+        EXPECT_EQ(served->admission.backend, backend);
+      }
+      EXPECT_EQ(DagView::builds() - before_serve, 0u);
+    }
+  }
 }
 
 }  // namespace

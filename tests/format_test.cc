@@ -1,10 +1,19 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <map>
+#include <set>
+#include <string>
+#include <utility>
+#include <vector>
+
 #include "common/io.h"
+#include "common/random.h"
 #include "format/dag.h"
 #include "format/grammar.h"
 #include "format/serializer.h"
 #include "sequitur/compressor.h"
+#include "tadoc/parallel_engine.h"
 
 namespace gtadoc {
 namespace {
@@ -117,6 +126,160 @@ TEST(DagViewTest, RejectsEmptyRootAndEmptyGrammar) {
   EXPECT_TRUE(DagView::Build(g).status().IsCorruption());
   g.rules = {{}};
   EXPECT_TRUE(DagView::Build(g).status().IsCorruption());
+}
+
+/// A seeded random valid grammar: every rule r > 0 is referenced by some
+/// rule before it (so all rules are reachable from the root) and references
+/// only rules after it (so the DAG is acyclic); repeated symbols exercise
+/// the aggregation, and only the root carries splitters.
+Grammar RandomGrammar(Rng* rng) {
+  Grammar g;
+  g.num_words = 1 + static_cast<uint32_t>(rng->Uniform(40));
+  g.num_splitters = static_cast<uint32_t>(rng->Uniform(4));
+  const uint32_t n = 1 + static_cast<uint32_t>(rng->Uniform(30));
+  g.rules.resize(n);
+  for (uint32_t r = 0; r < n; ++r) {
+    const uint64_t len = 1 + rng->Uniform(r == 0 ? 40 : 8);
+    for (uint64_t i = 0; i < len; ++i) {
+      if (r + 1 < n && rng->Bernoulli(0.4)) {
+        const uint32_t child =
+            r + 1 + static_cast<uint32_t>(rng->Uniform(n - r - 1));
+        g.rules[r].push_back(g.RuleId(child));
+      } else {
+        g.rules[r].push_back(static_cast<uint32_t>(rng->Uniform(g.num_words)));
+      }
+    }
+  }
+  for (uint32_t r = 1; r < n; ++r) {
+    const uint32_t parent = static_cast<uint32_t>(rng->Uniform(r));
+    g.rules[parent].push_back(g.RuleId(r));
+  }
+  for (uint32_t s = 0; s < g.num_splitters; ++s) {
+    const uint64_t pos = rng->Uniform(g.rules[0].size() + 1);
+    g.rules[0].insert(g.rules[0].begin() + pos, g.num_words + s);
+  }
+  return g;
+}
+
+// The flat DagView must agree entry for entry with a straightforward
+// std::map aggregation of the same grammar.
+TEST(DagViewTest, FlatViewMatchesReferenceAggregation) {
+  Rng rng(20240611);
+  for (int trial = 0; trial < 200; ++trial) {
+    SCOPED_TRACE(trial);
+    const Grammar g = RandomGrammar(&rng);
+    auto view = DagView::Build(g);
+    ASSERT_TRUE(view.ok()) << view.status().ToString();
+    const DagView& v = *view;
+    const uint32_t n = static_cast<uint32_t>(g.rules.size());
+    ASSERT_EQ(v.num_rules(), n);
+
+    std::vector<std::map<uint32_t, uint32_t>> children(n);
+    std::vector<std::map<uint32_t, uint32_t>> words(n);
+    std::vector<std::set<uint32_t>> parents(n);
+    for (uint32_t r = 0; r < n; ++r) {
+      for (uint32_t sym : g.rules[r]) {
+        if (g.IsRule(sym)) {
+          ++children[r][g.RuleIndex(sym)];
+          parents[g.RuleIndex(sym)].insert(r);
+        } else if (g.IsWord(sym)) {
+          ++words[r][sym];
+        }
+      }
+    }
+    // Longest-path depths: parents have lower indices, so index order is
+    // a topological order of this generator's grammars.
+    std::vector<uint32_t> depth(n, 0);
+    for (uint32_t r = 0; r < n; ++r) {
+      for (const auto& [c, freq] : children[r]) {
+        depth[c] = std::max(depth[c], depth[r] + 1);
+      }
+    }
+
+    for (uint32_t r = 0; r < n; ++r) {
+      SCOPED_TRACE(r);
+      EXPECT_EQ(v.body_size(r), g.rules[r].size());
+      ASSERT_EQ(v.children(r).size(), children[r].size());
+      size_t i = 0;
+      for (const auto& [c, freq] : children[r]) {
+        EXPECT_EQ(v.children(r)[i].child, c);
+        EXPECT_EQ(v.children(r)[i].freq, freq);
+        ++i;
+      }
+      EXPECT_EQ(v.num_out_edges(r), children[r].size());
+      ASSERT_EQ(v.words(r).size(), words[r].size());
+      i = 0;
+      for (const auto& [w, freq] : words[r]) {
+        EXPECT_EQ(v.words(r)[i].word, w);
+        EXPECT_EQ(v.words(r)[i].freq, freq);
+        ++i;
+      }
+      EXPECT_EQ(std::vector<uint32_t>(v.parents(r).begin(),
+                                      v.parents(r).end()),
+                std::vector<uint32_t>(parents[r].begin(), parents[r].end()));
+      EXPECT_EQ(v.num_in_edges_nonroot(r),
+                parents[r].size() - parents[r].count(0));
+      const auto root_it = children[0].find(r);
+      EXPECT_EQ(v.root_freq(r),
+                root_it == children[0].end() ? 0u : root_it->second);
+      EXPECT_EQ(v.depth(r), depth[r]);
+    }
+    EXPECT_EQ(v.max_depth(), *std::max_element(depth.begin(), depth.end()));
+
+    // Topological order: a permutation starting at the root in which every
+    // parent precedes each of its children.
+    const std::vector<uint32_t>& topo = v.topo_order();
+    ASSERT_EQ(topo.size(), n);
+    EXPECT_EQ(topo[0], 0u);
+    std::vector<uint32_t> position(n, n);
+    for (uint32_t i = 0; i < n; ++i) position[topo[i]] = i;
+    for (uint32_t r = 0; r < n; ++r) {
+      ASSERT_LT(position[r], n) << "rule " << r << " missing from topo order";
+      for (const auto& [c, freq] : children[r]) {
+        EXPECT_LT(position[r], position[c]) << r << " -> " << c;
+      }
+    }
+  }
+}
+
+// Every grammar DagView rejects is refused when the corpus is built, as a
+// Status naming the document — never a crash later in serving.
+TEST(CorpusLoadTest, MalformedGrammarsAreRejectedAtLoad) {
+  std::vector<std::pair<std::string, Grammar>> cases;
+  Grammar g;
+  g.num_words = 1;
+  g.rules = {{2, 0}, {3, 0}, {2, 0}};
+  cases.emplace_back("cycle", g);
+  g.rules = {{1, 0}};
+  cases.emplace_back("self-reference", g);
+  g.rules = {{9, 0}};
+  cases.emplace_back("id out of range", g);
+  g.num_splitters = 1;
+  g.rules = {{3, 0}, {1, 0}};
+  cases.emplace_back("splitter outside the root", g);
+  g.num_splitters = 0;
+  g.rules = {{}};
+  cases.emplace_back("empty root", g);
+  g.rules.clear();
+  cases.emplace_back("no rules", g);
+
+  for (const auto& [name, bad] : cases) {
+    SCOPED_TRACE(name);
+    EXPECT_TRUE(DagView::Build(bad).status().IsCorruption());
+    std::vector<Grammar> docs = {Figure1Grammar(), bad};
+    auto corpus = CorpusFromDocuments(std::move(docs));
+    ASSERT_FALSE(corpus.ok());
+    EXPECT_TRUE(corpus.status().IsCorruption()) << corpus.status().ToString();
+    EXPECT_NE(corpus.status().message().find("document 1"), std::string::npos)
+        << corpus.status().ToString();
+  }
+
+  auto good = CorpusFromDocuments({Figure1Grammar(), Figure1Grammar()});
+  ASSERT_TRUE(good.ok());
+  ASSERT_EQ(good->prepared.size(), 2u);
+  EXPECT_EQ(good->prepared[1].fingerprint,
+            GrammarFingerprint(Figure1Grammar()));
+  EXPECT_EQ(good->prepared[1].dag.num_rules(), 3u);
 }
 
 TEST(DagStatsTest, Figure1Stats) {

@@ -101,16 +101,28 @@ TEST(ShardedCorpusTest, RoundRobinPlacementWithReplication) {
     EXPECT_EQ(homes[0], g % 3) << "doc " << g;           // primary
     EXPECT_EQ(homes[1], (g + 1) % 3) << "doc " << g;     // next replica
   }
+  // Device slices are index lists into the one global corpus (no grammar
+  // copies), so per-device results carry global file bases and are
+  // gather-ready.
+  const PartitionedCorpus* global = (*sharded)->global_corpus();
+  ASSERT_EQ(global, &mc.corpus);
   for (size_t d = 0; d < 3; ++d) {
-    const PartitionedCorpus& slice = (*sharded)->device_corpus(d);
     const std::vector<uint32_t>& docs = (*sharded)->device_docs(d);
-    ASSERT_EQ(slice.partitions.size(), docs.size());
     placements += docs.size();
-    // File bases stay GLOBAL so per-device results are gather-ready.
     for (size_t i = 0; i < docs.size(); ++i) {
-      EXPECT_EQ(slice.file_base[i], mc.corpus.file_base[docs[i]]);
+      const uint32_t g = docs[i];
+      ASSERT_LT(g, global->partitions.size());
+      if (i > 0) EXPECT_LT(docs[i - 1], g) << "device " << d;
+      const std::vector<uint32_t>& homes = (*sharded)->replicas(g);
+      EXPECT_NE(std::find(homes.begin(), homes.end(), d), homes.end())
+          << "doc " << g << " listed on device " << d;
+      // The global file base of document g is the file count before it.
+      uint32_t files_before = 0;
+      for (uint32_t p = 0; p < g; ++p) {
+        files_before += global->partitions[p].num_files();
+      }
+      EXPECT_EQ(global->file_base[g], files_before) << "doc " << g;
     }
-    EXPECT_EQ(slice.total_files, mc.corpus.total_files);
   }
   EXPECT_EQ(placements, 7u * 2u);
 }
