@@ -40,27 +40,27 @@ int main() {
   }
 
   // Most frequent phrase overall.
-  const std::vector<uint32_t>* best = nullptr;
+  const RankedInvertedIndexResult& index = ranked->result.ranked_inverted_index;
+  size_t best = index.size();
   uint64_t best_count = 0;
-  for (const auto& [gram, files] : ranked->result.ranked_inverted_index) {
+  for (size_t i = 0; i < index.size(); ++i) {
     uint64_t total = 0;
-    for (const auto& [f, c] : files) total += c;
+    for (const auto& [f, c] : index.postings_of(i)) total += c;
     if (total > best_count) {
       best_count = total;
-      best = &gram;
+      best = i;
     }
   }
   std::printf("%zu distinct 3-word phrases across %u documents\n",
-              ranked->result.ranked_inverted_index.size(),
-              grammar->num_files());
-  if (best != nullptr) {
+              index.size(), grammar->num_files());
+  if (best < index.size()) {
+    const uint32_t* gram = index.gram(best);
     std::printf("most frequent phrase: \"%s %s %s\" (%llu occurrences)\n",
-                tokens.words[(*best)[0]].c_str(),
-                tokens.words[(*best)[1]].c_str(),
-                tokens.words[(*best)[2]].c_str(),
+                tokens.words[gram[0]].c_str(), tokens.words[gram[1]].c_str(),
+                tokens.words[gram[2]].c_str(),
                 static_cast<unsigned long long>(best_count));
     std::printf("per-document ranking:");
-    for (const auto& [f, c] : ranked->result.ranked_inverted_index[*best]) {
+    for (const auto& [f, c] : index.postings_of(best)) {
       std::printf(" doc%u:%llu", f, static_cast<unsigned long long>(c));
     }
     std::printf("\n");

@@ -4,7 +4,10 @@
 #include <cstdint>
 #include <map>
 #include <string>
+#include <utility>
 #include <vector>
+
+#include "common/ngram_rows.h"
 
 namespace gtadoc {
 
@@ -49,13 +52,67 @@ using InvertedIndexResult = std::map<uint32_t, std::vector<uint32_t>>;
 using TermVectorResult =
     std::vector<std::vector<std::pair<uint32_t, uint64_t>>>;
 
-/// (file id, l-gram) -> count. The l-gram is the concatenated word ids.
-using SequenceCountResult =
-    std::map<std::pair<uint32_t, std::vector<uint32_t>>, uint64_t>;
+/// sequenceCount: one row per distinct (file id, l-gram) with its count,
+/// sorted by (file, gram) — the gram is the l concatenated word ids, so the
+/// rows are in the order of an ordered map keyed by (file, word sequence).
+/// Assembly is one sort of the drained rows; a corpus merge appends rows with
+/// offset file ids, which keeps them sorted when documents merge in corpus
+/// order.
+struct SequenceCountResult : NgramRows {
+  SequenceCountResult() = default;
+  /// Adopts rows already ordered by NgramRows::SortByFileGram.
+  explicit SequenceCountResult(NgramRows sorted)
+      : NgramRows(std::move(sorted)) {}
 
-/// l-gram -> (file id, count) ordered by count desc, file id asc.
-using RankedInvertedIndexResult =
-    std::map<std::vector<uint32_t>, std::vector<std::pair<uint32_t, uint64_t>>>;
+  /// Count of `gram` in `file`, 0 when absent (binary search).
+  uint64_t Count(uint32_t file, const std::vector<uint32_t>& gram) const;
+};
+
+/// rankedInvertedIndex: every distinct l-gram in lexicographic order with
+/// its postings, (file id, count) ordered by count desc then file id asc.
+/// Compressed sparse rows: gram i is grams[i*l, (i+1)*l) and its postings
+/// are postings[offsets[i], offsets[i+1]). Assembly is one sort of the
+/// drained rows; a corpus merge appends each document's grams unsorted and
+/// FinalizeMergedResult regroups them once.
+struct RankedInvertedIndexResult {
+  using Posting = std::pair<uint32_t, uint64_t>;
+
+  /// One gram's postings (a view into `postings`).
+  class PostingRange {
+   public:
+    PostingRange() = default;
+    PostingRange(const Posting* begin, const Posting* end)
+        : begin_(begin), end_(end) {}
+    const Posting* begin() const { return begin_; }
+    const Posting* end() const { return end_; }
+    size_t size() const { return static_cast<size_t>(end_ - begin_); }
+    bool empty() const { return begin_ == end_; }
+    const Posting& operator[](size_t i) const { return begin_[i]; }
+
+   private:
+    const Posting* begin_ = nullptr;
+    const Posting* end_ = nullptr;
+  };
+
+  uint32_t ngram_len = 0;  ///< l, the words per gram
+  std::vector<uint32_t> grams;
+  std::vector<uint64_t> offsets = {0};  ///< size() + 1 entries
+  std::vector<Posting> postings;
+
+  size_t size() const { return offsets.size() - 1; }
+  bool empty() const { return size() == 0; }
+  const uint32_t* gram(size_t i) const { return grams.data() + i * ngram_len; }
+  PostingRange postings_of(size_t i) const {
+    return PostingRange(postings.data() + offsets[i],
+                        postings.data() + offsets[i + 1]);
+  }
+  /// Postings of `gram`, empty when absent (binary search).
+  PostingRange Postings(const std::vector<uint32_t>& gram) const;
+
+  bool operator==(const RankedInvertedIndexResult& o) const {
+    return grams == o.grams && offsets == o.offsets && postings == o.postings;
+  }
+};
 
 /// (file id, total query-word hits) for every file containing at least one
 /// query word, ordered by file id asc.

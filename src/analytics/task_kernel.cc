@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <map>
 #include <mutex>
+#include <numeric>
 #include <unordered_map>
 
 #include "common/hash.h"
@@ -297,12 +298,11 @@ void TaskKernel::AssembleFileWord(const TaskInput& input, uint32_t num_files,
   GTADOC_CHECK(false);
 }
 
-void TaskKernel::AssembleSequence(const TaskInput& input,
-                                  std::vector<gpu::NgramCount> counts,
+void TaskKernel::AssembleSequence(const TaskInput& input, NgramRows rows,
                                   AssemblyOps* ops,
                                   AnalyticsResult* out) const {
   (void)input;
-  (void)counts;
+  (void)rows;
   (void)ops;
   (void)out;
   GTADOC_LOG(Error) << "kernel '" << name()
@@ -673,22 +673,32 @@ class SequenceCountKernel : public TaskKernel {
   const char* name() const override { return "sequenceCount"; }
   TraversalShape shape() const override { return TraversalShape::kSequence; }
 
-  void AssembleSequence(const TaskInput& input,
-                        std::vector<gpu::NgramCount> counts, AssemblyOps* ops,
-                        AnalyticsResult* out) const override {
+  void AssembleSequence(const TaskInput& input, NgramRows rows,
+                        AssemblyOps* ops, AnalyticsResult* out) const override {
     (void)input;
-    ops->ChargeUpdates(counts.size());
-    for (auto& nc : counts) {
-      out->sequence_count[{nc.file, std::move(nc.words)}] += nc.count;
-    }
+    ops->ChargeUpdates(rows.size());
+    rows.SortByFileGram();
+    out->sequence_count = SequenceCountResult(std::move(rows));
   }
 
+  /// Appends the document's rows with offset file ids. Documents merged in
+  /// corpus order keep the rows sorted; FinalizeMerge sorts any other order
+  /// (and sums rows of overlapping file ranges).
   void Merge(const AnalyticsResult& doc, uint32_t file_base,
              AnalyticsResult* acc, uint64_t* merge_ops) const override {
-    for (const auto& [key, c] : doc.sequence_count) {
-      acc->sequence_count[{key.first + file_base, key.second}] = c;
-      ++*merge_ops;
-    }
+    const SequenceCountResult& from = doc.sequence_count;
+    SequenceCountResult& to = acc->sequence_count;
+    if (from.empty()) return;
+    to.ngram_len = from.ngram_len;
+    for (uint32_t f : from.files) to.files.push_back(f + file_base);
+    to.words.insert(to.words.end(), from.words.begin(), from.words.end());
+    to.counts.insert(to.counts.end(), from.counts.begin(), from.counts.end());
+    *merge_ops += from.size();
+  }
+
+  void FinalizeMerge(AnalyticsResult* acc, uint64_t* merge_ops) const override {
+    (void)merge_ops;
+    acc->sequence_count.SortByFileGram();
   }
 
   uint64_t ResultBytes(const AnalyticsResult& r,
@@ -703,89 +713,139 @@ class SequenceCountKernel : public TaskKernel {
 
   void DigestFold(const AnalyticsResult& r, uint64_t* h,
                   size_t* entries) const override {
-    for (const auto& [key, c] : r.sequence_count) {
-      *h = HashCombine(*h, key.first);
-      for (uint32_t w : key.second) *h = HashCombine(*h, w);
-      *h = HashCombine(*h, c);
+    const SequenceCountResult& rows = r.sequence_count;
+    for (size_t i = 0; i < rows.size(); ++i) {
+      *h = HashCombine(*h, rows.files[i]);
+      const uint32_t* gram = rows.gram(i);
+      for (uint32_t k = 0; k < rows.ngram_len; ++k) {
+        *h = HashCombine(*h, gram[k]);
+      }
+      *h = HashCombine(*h, rows.counts[i]);
       ++*entries;
     }
   }
 
+  /// An ordered map keyed by (file, word sequence), kept as an independent
+  /// oracle of the flat rows; its iteration order is their sort order.
   AnalyticsResult RunUncompressed(
       const std::vector<std::vector<uint32_t>>& files, const TaskInput& input,
       CpuCostMeter* meter) const override {
     AnalyticsResult out;
     out.task = Task::kSequenceCount;
     const uint32_t l = input.ngram_len;
+    std::map<std::pair<uint32_t, std::vector<uint32_t>>, uint64_t> counts;
     for (uint32_t f = 0; f < files.size(); ++f) {
       const auto& file = files[f];
       if (file.size() < l) continue;
       for (size_t i = 0; i + l <= file.size(); ++i) {
         std::vector<uint32_t> gram(file.begin() + i, file.begin() + i + l);
-        ++out.sequence_count[{f, std::move(gram)}];
+        ++counts[{f, std::move(gram)}];
         if (meter != nullptr) meter->Charge(2 * l + kCpuSeqMapDescentOps);
       }
     }
+    NgramRows rows;
+    rows.ngram_len = l;
+    rows.Reserve(counts.size());
+    for (const auto& [key, c] : counts) {
+      rows.Append(key.first, key.second.data(), c);
+    }
+    out.sequence_count = SequenceCountResult(std::move(rows));
     return out;
   }
 };
 
 // ---------------------------------------------------- rankedInvertedIndex ---
 
+/// Builds a rankedInvertedIndex result from n (gram, posting) rows: one sort
+/// by (gram asc, count desc, file asc), then one pass that opens a group at
+/// every new gram.
+template <typename GramOf, typename PostingOf>
+RankedInvertedIndexResult GroupByGram(uint32_t l, size_t n, GramOf gram_of,
+                                      PostingOf posting_of) {
+  std::vector<uint32_t> order(n);
+  std::iota(order.begin(), order.end(), 0u);
+  std::sort(order.begin(), order.end(), [&](uint32_t a, uint32_t b) {
+    const int c = CompareGrams(gram_of(a), gram_of(b), l);
+    return c != 0 ? c < 0 : CountDescIdAsc(posting_of(a), posting_of(b));
+  });
+  RankedInvertedIndexResult r;
+  r.ngram_len = l;
+  r.postings.reserve(n);
+  for (size_t k = 0; k < n; ++k) {
+    const uint32_t* gram = gram_of(order[k]);
+    if (k == 0 || CompareGrams(gram_of(order[k - 1]), gram, l) != 0) {
+      if (k > 0) r.offsets.push_back(r.postings.size());
+      r.grams.insert(r.grams.end(), gram, gram + l);
+    }
+    r.postings.push_back(posting_of(order[k]));
+  }
+  if (n > 0) r.offsets.push_back(n);
+  return r;
+}
+
 class RankedInvertedIndexKernel : public TaskKernel {
  public:
+  using Posting = RankedInvertedIndexResult::Posting;
+
   Task task() const override { return Task::kRankedInvertedIndex; }
   const char* name() const override { return "rankedInvertedIndex"; }
   TraversalShape shape() const override { return TraversalShape::kSequence; }
 
-  void AssembleSequence(const TaskInput& input,
-                        std::vector<gpu::NgramCount> counts, AssemblyOps* ops,
-                        AnalyticsResult* out) const override {
+  void AssembleSequence(const TaskInput& input, NgramRows rows,
+                        AssemblyOps* ops, AnalyticsResult* out) const override {
     (void)input;
-    uint64_t entries = 0;
-    for (auto& nc : counts) {
-      out->ranked_inverted_index[std::move(nc.words)].emplace_back(nc.file,
-                                                                   nc.count);
-      ++entries;
-    }
-    ops->ChargeUpdates(2 * entries);
-    ops->ChargeGroupSort(out->ranked_inverted_index.size(), entries);
-    Canonicalize(out);
+    auto gram_of = [&rows](uint32_t i) { return rows.gram(i); };
+    auto posting_of = [&rows](uint32_t i) {
+      return Posting(rows.files[i], rows.counts[i]);
+    };
+    out->ranked_inverted_index =
+        GroupByGram(rows.ngram_len, rows.size(), gram_of, posting_of);
+    ops->ChargeUpdates(2 * rows.size());
+    ops->ChargeGroupSort(out->ranked_inverted_index.size(), rows.size());
   }
 
-  void Canonicalize(AnalyticsResult* r) const override {
-    for (auto& [gram, files] : r->ranked_inverted_index) {
-      (void)gram;
-      std::sort(files.begin(), files.end(), CountDescIdAsc);
-    }
-  }
-
+  /// Appends the document's grams and postings (file ids offset) as further
+  /// groups; FinalizeMerge regroups equal grams across documents.
   void Merge(const AnalyticsResult& doc, uint32_t file_base,
              AnalyticsResult* acc, uint64_t* merge_ops) const override {
-    for (const auto& [gram, files] : doc.ranked_inverted_index) {
-      auto& list = acc->ranked_inverted_index[gram];
-      for (const auto& [f, c] : files) list.emplace_back(f + file_base, c);
-      *merge_ops += files.size();
+    const RankedInvertedIndexResult& from = doc.ranked_inverted_index;
+    RankedInvertedIndexResult& to = acc->ranked_inverted_index;
+    if (from.empty()) return;
+    to.ngram_len = from.ngram_len;
+    to.grams.insert(to.grams.end(), from.grams.begin(), from.grams.end());
+    const uint64_t base = to.postings.size();
+    for (size_t g = 1; g < from.offsets.size(); ++g) {
+      to.offsets.push_back(base + from.offsets[g]);
     }
+    for (const auto& [f, c] : from.postings) {
+      to.postings.emplace_back(f + file_base, c);
+    }
+    *merge_ops += from.postings.size();
   }
 
   void FinalizeMerge(AnalyticsResult* acc, uint64_t* merge_ops) const override {
-    for (auto& [gram, files] : acc->ranked_inverted_index) {
-      (void)gram;
-      std::sort(files.begin(), files.end(), CountDescIdAsc);
-      *merge_ops += files.size() * 2;
+    RankedInvertedIndexResult& r = acc->ranked_inverted_index;
+    *merge_ops += 2 * r.postings.size();
+    bool grouped = true;
+    for (size_t i = 1; i < r.size() && grouped; ++i) {
+      grouped = CompareGrams(r.gram(i - 1), r.gram(i), r.ngram_len) < 0;
     }
-    Canonicalize(acc);
+    if (grouped) return;  // no gram repeats: already final
+    std::vector<uint32_t> group_of(r.postings.size());
+    for (size_t g = 0; g < r.size(); ++g) {
+      for (uint64_t p = r.offsets[g]; p < r.offsets[g + 1]; ++p) {
+        group_of[p] = static_cast<uint32_t>(g);
+      }
+    }
+    auto gram_of = [&](uint32_t p) { return r.gram(group_of[p]); };
+    auto posting_of = [&](uint32_t p) { return r.postings[p]; };
+    r = GroupByGram(r.ngram_len, r.postings.size(), gram_of, posting_of);
   }
 
   uint64_t ResultBytes(const AnalyticsResult& r,
                        uint32_t ngram_len) const override {
-    uint64_t bytes = 0;
-    for (const auto& [gram, files] : r.ranked_inverted_index) {
-      (void)gram;
-      bytes += 4ull * ngram_len + files.size() * 12;
-    }
-    return bytes;
+    const RankedInvertedIndexResult& index = r.ranked_inverted_index;
+    return index.size() * 4ull * ngram_len + index.postings.size() * 12;
   }
 
   bool Equal(const AnalyticsResult& a,
@@ -795,15 +855,21 @@ class RankedInvertedIndexKernel : public TaskKernel {
 
   void DigestFold(const AnalyticsResult& r, uint64_t* h,
                   size_t* entries) const override {
-    for (const auto& [ngram, files] : r.ranked_inverted_index) {
-      for (uint32_t w : ngram) *h = HashCombine(*h, w);
-      for (const auto& [f, c] : files) {
+    const RankedInvertedIndexResult& index = r.ranked_inverted_index;
+    for (size_t i = 0; i < index.size(); ++i) {
+      const uint32_t* gram = index.gram(i);
+      for (uint32_t k = 0; k < index.ngram_len; ++k) {
+        *h = HashCombine(*h, gram[k]);
+      }
+      for (const auto& [f, c] : index.postings_of(i)) {
         *h = HashCombine(HashCombine(*h, f), c);
       }
       ++*entries;
     }
   }
 
+  /// Per-gram ordered maps, kept as an independent oracle of the flat
+  /// grouping; the map's iteration order is the result's gram order.
   AnalyticsResult RunUncompressed(
       const std::vector<std::vector<uint32_t>>& files, const TaskInput& input,
       CpuCostMeter* meter) const override {
@@ -821,10 +887,14 @@ class RankedInvertedIndexKernel : public TaskKernel {
         if (meter != nullptr) meter->Charge(2 * l + kCpuSeqMapDescentOps);
       }
     }
+    RankedInvertedIndexResult& index = out.ranked_inverted_index;
+    index.ngram_len = l;
     for (auto& [gram, counts] : per_gram) {
-      auto& list = out.ranked_inverted_index[gram];
-      list.assign(counts.begin(), counts.end());
+      std::vector<Posting> list(counts.begin(), counts.end());
       std::sort(list.begin(), list.end(), CountDescIdAsc);
+      index.grams.insert(index.grams.end(), gram.begin(), gram.end());
+      index.postings.insert(index.postings.end(), list.begin(), list.end());
+      index.offsets.push_back(index.postings.size());
       if (meter != nullptr) meter->Charge(counts.size() * 4);
     }
     return out;
@@ -1254,26 +1324,28 @@ class PhraseSearchKernel : public TaskKernel {
     return false;
   }
 
-  void AssembleSequence(const TaskInput& input,
-                        std::vector<gpu::NgramCount> counts, AssemblyOps* ops,
-                        AnalyticsResult* out) const override {
-    auto match = [&counts](const std::vector<uint32_t>& phrase) {
+  void AssembleSequence(const TaskInput& input, NgramRows rows,
+                        AssemblyOps* ops, AnalyticsResult* out) const override {
+    auto match = [&rows](const std::vector<uint32_t>& phrase) {
       std::map<uint32_t, uint64_t> hits;
-      for (const gpu::NgramCount& nc : counts) {
-        if (nc.words == phrase) hits[nc.file] += nc.count;
+      if (phrase.size() != rows.ngram_len) return PhraseSearchResult();
+      for (size_t i = 0; i < rows.size(); ++i) {
+        if (std::equal(phrase.begin(), phrase.end(), rows.gram(i))) {
+          hits[rows.files[i]] += rows.counts[i];
+        }
       }
       return PhraseSearchResult(hits.begin(), hits.end());
     };
     if (input.query_sets.empty()) {
       out->phrase_search = match(input.query_words);
-      ops->ChargeUpdates(counts.size());
+      ops->ChargeUpdates(rows.size());
     } else {
       out->keyword_multi.clear();
       out->keyword_multi.reserve(input.query_sets.size());
       for (const auto& phrase : input.query_sets) {
         out->keyword_multi.push_back(match(phrase));
       }
-      ops->ChargeUpdates(counts.size() * input.query_sets.size());
+      ops->ChargeUpdates(rows.size() * input.query_sets.size());
     }
   }
 

@@ -9,10 +9,10 @@
 #include "analytics/engine.h"
 #include "analytics/results.h"
 #include "analytics/state_layout.h"
+#include "common/ngram_rows.h"
 #include "common/result.h"
 #include "format/dag.h"
 #include "format/grammar.h"
-#include "gpu/ngram_table.h"
 #include "tadoc/strategy.h"
 
 namespace gtadoc {
@@ -282,9 +282,9 @@ class TaskKernel {
   virtual void AssembleFileWord(const TaskInput& input, uint32_t num_files,
                                 const std::vector<FileWordCount>& counts,
                                 AssemblyOps* ops, AnalyticsResult* out) const;
-  /// kSequence: builds the result from drained (file, gram, count) entries.
-  virtual void AssembleSequence(const TaskInput& input,
-                                std::vector<gpu::NgramCount> counts,
+  /// kSequence: builds the result from drained (file, gram, count) rows
+  /// (order unspecified).
+  virtual void AssembleSequence(const TaskInput& input, NgramRows rows,
                                 AssemblyOps* ops, AnalyticsResult* out) const;
 
   // --- result operations (absorbed from the old results.cc switches) ------

@@ -178,9 +178,9 @@ Result<EngineRun> UncompressedAnalytics::RunOnDevice(Task task,
             return table.AddOrInsert(ctx, file_of_token[pos], &stream[pos], 1);
           });
       if (!ok) return Status::Internal("ngram table sized too small");
-      auto counts = table.Drain();
-      if (charge_pcie) device->CopyDeviceToHost(counts.size() * (16 + 4 * l));
-      kernel.AssembleSequence(input, std::move(counts), &ops, &run.result);
+      NgramRows rows = table.Drain();
+      if (charge_pcie) device->CopyDeviceToHost(rows.size() * (16 + 4 * l));
+      kernel.AssembleSequence(input, std::move(rows), &ops, &run.result);
       break;
     }
   }

@@ -137,20 +137,18 @@ uint64_t GpuNgramTable::Lookup(uint32_t file, const uint32_t* words) const {
   return total;
 }
 
-std::vector<NgramCount> GpuNgramTable::Drain() const {
+NgramRows GpuNgramTable::Drain() const {
   const uint32_t used =
       std::min<uint32_t>(node_cursor_.load(std::memory_order_relaxed),
                          static_cast<uint32_t>(files_.size()));
-  std::vector<NgramCount> out;
-  out.reserve(used);
+  NgramRows rows;
+  rows.ngram_len = l_;
+  rows.Reserve(used);
   for (uint32_t i = 0; i < used; ++i) {
-    NgramCount nc;
-    nc.file = files_[i];
-    nc.words.assign(&key_pool_[key_offsets_[i]], &key_pool_[key_offsets_[i]] + l_);
-    nc.count = values_[i].load(std::memory_order_relaxed);
-    out.push_back(std::move(nc));
+    rows.Append(files_[i], &key_pool_[key_offsets_[i]],
+                values_[i].load(std::memory_order_relaxed));
   }
-  return out;
+  return rows;
 }
 
 }  // namespace gpu

@@ -3,20 +3,13 @@
 
 #include <atomic>
 #include <cstdint>
-#include <vector>
 
+#include "common/ngram_rows.h"
 #include "gpu/device.h"
 #include "gpu/hash_table.h"
 
 namespace gtadoc {
 namespace gpu {
-
-/// One drained n-gram count.
-struct NgramCount {
-  uint32_t file = 0;
-  std::vector<uint32_t> words;
-  uint64_t count = 0;
-};
 
 /// \brief Thread-safe GPU table keyed by (file, l-word sequence) with exact
 /// key comparison (Section IV-D: "develop special data structures in GPU
@@ -44,8 +37,8 @@ class GpuNgramTable {
   /// Host-side exact lookup (0 when absent).
   uint64_t Lookup(uint32_t file, const uint32_t* words) const;
 
-  /// Drains all counts; order unspecified.
-  std::vector<NgramCount> Drain() const;
+  /// Drains every node as one flat row; order unspecified.
+  NgramRows Drain() const;
 
   uint32_t ngram_len() const { return l_; }
   uint32_t num_nodes_used() const {

@@ -432,12 +432,12 @@ Status GTadocEngine::SequenceTask(const TaskKernel& kernel,
   // Drain into the kernel's result shape (the final per-group orderings are
   // charged by the kernel through GpuAssembly).
   // =========================================================================
-  auto counts = table.Drain();
+  NgramRows rows = table.Drain();
   if (options_.charge_pcie) {
-    device_->CopyDeviceToHost(counts.size() * (16 + 4ull * l));
+    device_->CopyDeviceToHost(rows.size() * (16 + 4ull * l));
   }
   GpuAssembly ops(device_, lease.assembly());
-  kernel.AssembleSequence(input, std::move(counts), &ops, out);
+  kernel.AssembleSequence(input, std::move(rows), &ops, out);
   return Status::OK();
 }
 

@@ -2,11 +2,10 @@
 
 #include <algorithm>
 #include <deque>
-#include <map>
 #include <unordered_map>
 
+#include "common/ngram_rows.h"
 #include "common/timer.h"
-#include "gpu/ngram_table.h"
 
 namespace gtadoc {
 
@@ -560,7 +559,9 @@ AnalyticsResult CpuTadocEngine::SequenceTask(const TaskKernel& kernel,
   // DFS token iterator over the full expansion (no materialization, but every
   // token of the original text is visited — the inefficiency the paper
   // reports for sequence tasks on CPU TADOC).
-  std::map<std::pair<uint32_t, std::vector<uint32_t>>, uint64_t> counts;
+  NgramRows windows;  // one row per window, collapsed after the walk
+  windows.ngram_len = l;
+  std::vector<uint32_t> gram(l);
   std::deque<uint32_t> window;
   uint32_t cur_file = 0;
 
@@ -584,31 +585,24 @@ AnalyticsResult CpuTadocEngine::SequenceTask(const TaskKernel& kernel,
       window.push_back(sym);
       if (window.size() > l) window.pop_front();
       if (window.size() == l) {
-        std::vector<uint32_t> gram(window.begin(), window.end());
-        ++counts[{cur_file, std::move(gram)}];
+        std::copy(window.begin(), window.end(), gram.begin());
+        windows.Append(cur_file, gram.data(), 1);
         // [2]'s per-window update is an ordered-map insert keyed by the word
         // sequence: a tree descent of ~log n node visits, each comparing up
         // to l words, plus the key copy. 16 is a conservative stand-in for
         // the descent; this is what makes CPU sequence tasks perform close to
-        // uncompressed processing (Section VI-B observation 3).
+        // uncompressed processing (Section VI-B observation 3). The charge
+        // models that insert; the host only appends a row here.
         meter->Charge(2 * l + kCpuSeqMapDescentOps);
       }
     }
   }
 
-  // Reshape the (file, gram) counts through the kernel, identically to the
-  // GPU drain path.
-  std::vector<gpu::NgramCount> drained;
-  drained.reserve(counts.size());
-  for (auto& [key, c] : counts) {
-    gpu::NgramCount nc;
-    nc.file = key.first;
-    nc.words = key.second;
-    nc.count = c;
-    drained.push_back(std::move(nc));
-  }
+  // Run-length collapse into (file, gram) counts, then reshape through the
+  // kernel identically to the GPU drain path.
+  windows.SortByFileGram();
   CpuAssembly assembly(meter);
-  kernel.AssembleSequence(input, std::move(drained), &assembly, &out);
+  kernel.AssembleSequence(input, std::move(windows), &assembly, &out);
   return out;
 }
 
