@@ -17,7 +17,8 @@
 // SERVER MODE (the second half) drives the same machinery through the
 // CorpusServer front-end and hard-gates its two contracts:
 //   1. Concurrent submits under a device slot budget execute in FIFO
-//      admission waves with every context pool pre-sized from plan metadata
+//      barrier waves (ServeUntilIdle(kBarrierWaves)) with every context
+//      pool pre-sized from plan metadata
 //      — ZERO mid-run pool growth charges (a bare BatchEngine on the same
 //      corpus grows its pools while documents execute, printed as the
 //      contrast).
@@ -28,15 +29,16 @@
 // SCHEDULER MODE (the third half) pits the two admission disciplines against
 // each other on a mixed large/small workload: small selective runs packed
 // around one full-budget run. Hard gates: rolling admission
-// (ServeUntilIdle) must deliver a strictly lower mean simulated queue-wait
-// than barrier waves (Drain) on the same submissions, both modes must keep
+// (ServeUntilIdle()) must deliver a strictly lower mean simulated queue-wait
+// than barrier waves (ServeUntilIdle(kBarrierWaves)) on the same
+// submissions, both modes must keep
 // zero mid-run pool growths, and every ticket's result must be bit-identical
 // between the two schedules — admission order moves starts, never outputs.
 //
 // SHARDED MODE (the fourth half) scales the server out: the corpus is
 // partitioned across N simulated devices (each with its own slot budget) and
 // every admitted run is Bloom-routed only to the shards that can match, then
-// gathered through the single-device merge path. Hard gates: >= 1.7x
+// gathered through one corpus-order merge. Hard gates: >= 1.7x
 // simulated throughput at 4 devices on the mixed workload, near-linear
 // scaling on the Bloom-partitionable workload, merged AND per-document
 // results bit-identical to the 1-device serial server for every shard count
@@ -69,6 +71,57 @@ std::string JsonNum(double v) {
 }
 
 std::string JsonNum(uint64_t v) { return std::to_string(v); }
+
+/// Each request's admission footprint, probed on a server with `options`
+/// (submitted under one tenant, never served). Empty on any failure or
+/// refusal.
+std::vector<uint64_t> ProbeFootprints(
+    const PartitionedCorpus* corpus, const CorpusServer::Options& options,
+    const std::vector<CorpusServer::RunRequest>& requests) {
+  auto sizer = CorpusServer::Create(corpus, options);
+  if (!sizer.ok()) return {};
+  auto tenant = (*sizer)->OpenTenant({});
+  if (!tenant.ok()) return {};
+  std::vector<uint64_t> footprints;
+  for (const auto& req : requests) {
+    auto submitted = tenant->Submit(req);
+    if (!submitted.ok() || !submitted->admitted()) {
+      std::fprintf(stderr, "sizing submit: %s\n",
+                   submitted.ok() ? submitted->rejection->detail.c_str()
+                                  : submitted.status().ToString().c_str());
+      return {};
+    }
+    footprints.push_back(submitted->admission->footprint_slots);
+  }
+  return footprints;
+}
+
+/// Submits every request under one fresh tenant, serves the queue under
+/// `mode` and awaits the runs in submission order. Empty on any failure.
+std::vector<CorpusServer::ServedRun> SubmitAndServe(
+    CorpusServer* server, const std::vector<CorpusServer::RunRequest>& requests,
+    AdmissionMode mode) {
+  auto tenant = server->OpenTenant({});
+  if (!tenant.ok()) return {};
+  std::vector<CorpusServer::RunTicket> tickets;
+  for (const auto& req : requests) {
+    auto submitted = tenant->Submit(req);
+    if (!submitted.ok() || !submitted->admitted()) return {};
+    tickets.push_back(*submitted->ticket);
+  }
+  Status st = server->ServeUntilIdle(mode);
+  if (!st.ok()) {
+    std::fprintf(stderr, "serve: %s\n", st.ToString().c_str());
+    return {};
+  }
+  std::vector<CorpusServer::ServedRun> served;
+  for (CorpusServer::RunTicket& ticket : tickets) {
+    auto run = ticket.Await();
+    if (!run.ok()) return {};
+    served.push_back(std::move(*run));
+  }
+  return served;
+}
 
 struct BatchResultRow {
   double cold_total = 0;
@@ -133,42 +186,29 @@ int RunServerMode(const gpu::Platform& platform, double scale,
   // Sizing pass: an unmetered server reports every run's plan-metadata
   // footprint; the real budget is set to 1.5x the largest so packing is
   // forced into multiple waves.
+  const std::vector<uint64_t> footprints =
+      ProbeFootprints(&mc.corpus, sizing, requests);
+  if (footprints.size() != requests.size()) return 1;
   uint64_t max_fp = 0;
   uint64_t sum_fp = 0;
-  {
-    auto sizer = CorpusServer::Create(&mc.corpus, sizing);
-    if (!sizer.ok()) return 1;
-    for (const auto& req : requests) {
-      auto admission = (*sizer)->Submit(req);
-      if (!admission.ok()) {
-        std::fprintf(stderr, "sizing submit: %s\n",
-                     admission.status().ToString().c_str());
-        return 1;
-      }
-      max_fp = std::max(max_fp, admission->footprint_slots);
-      sum_fp += admission->footprint_slots;
-    }
+  for (uint64_t fp : footprints) {
+    max_fp = std::max(max_fp, fp);
+    sum_fp += fp;
   }
 
   CorpusServer::Options opt = sizing;
   opt.device_slot_budget = max_fp + max_fp / 2;
   auto server = CorpusServer::Create(&mc.corpus, opt);
   if (!server.ok()) return 1;
-  for (const auto& req : requests) {
-    auto admission = (*server)->Submit(req);
-    if (!admission.ok()) return 1;
-  }
-  auto served = (*server)->Drain();
-  if (!served.ok()) {
-    std::fprintf(stderr, "drain: %s\n", served.status().ToString().c_str());
-    return 1;
-  }
+  const std::vector<CorpusServer::ServedRun> served =
+      SubmitAndServe(server->get(), requests, AdmissionMode::kBarrierWaves);
+  if (served.size() != requests.size()) return 1;
 
   bench::PrintRule();
   std::printf("%-8s %-16s %14s %6s %6s %7s %12s\n", "ticket", "task",
               "footprint", "wave", "exec", "skip", "total (ms)");
   bench::PrintRule();
-  for (const auto& run : *served) {
+  for (const auto& run : served) {
     std::printf("%-8llu %-16s %14llu %6llu %6u %7u %12.3f\n",
                 static_cast<unsigned long long>(run.admission.ticket),
                 TaskName(run.batch.merged.task),
@@ -228,7 +268,7 @@ int RunServerMode(const gpu::Platform& platform, double scale,
   }
 
   // --- Gate 2: the selective run skipped >= half, bit-identically. --------
-  const CorpusServer::ServedRun& selective = served->back();
+  const CorpusServer::ServedRun& selective = served.back();
   if (selective.admission.documents_skipped < kDocuments / 2) {
     std::fprintf(stderr,
                  "GATE FAILED: root Blooms skipped %u of %u documents "
@@ -330,17 +370,11 @@ int RunSchedulerMode(const gpu::Platform& platform, double scale,
   const std::vector<CorpusServer::RunRequest> requests = {small, small, large,
                                                           small, small};
 
-  uint64_t small_fp = 0;
-  uint64_t large_fp = 0;
-  {
-    auto sizer = CorpusServer::Create(&mc.corpus, sizing);
-    if (!sizer.ok()) return 1;
-    auto s = (*sizer)->Submit(small);
-    auto l = (*sizer)->Submit(large);
-    if (!s.ok() || !l.ok()) return 1;
-    small_fp = s->footprint_slots;
-    large_fp = l->footprint_slots;
-  }
+  const std::vector<uint64_t> footprints =
+      ProbeFootprints(&mc.corpus, sizing, {small, large});
+  if (footprints.size() != 2) return 1;
+  const uint64_t small_fp = footprints[0];
+  const uint64_t large_fp = footprints[1];
   // The witness needs a real size gap: all four smalls must co-reside in
   // the budget the large run needs alone.
   if (small_fp == 0 || 4 * small_fp > large_fp) {
@@ -366,13 +400,13 @@ int RunSchedulerMode(const gpu::Platform& platform, double scale,
 
   std::vector<CorpusServer::RunTicket> tickets;
   for (const auto& req : requests) {
-    if (!(*wave_server)->Submit(req).ok()) return 1;
     auto submitted = tenant->Submit(req);
     if (!submitted.ok() || !submitted->admitted()) return 1;
     tickets.push_back(*submitted->ticket);
   }
-  auto drained = (*wave_server)->Drain();
-  if (!drained.ok()) return 1;
+  const std::vector<CorpusServer::ServedRun> drained = SubmitAndServe(
+      wave_server->get(), requests, AdmissionMode::kBarrierWaves);
+  if (drained.size() != requests.size()) return 1;
   if (!(*rolling_server)->ServeUntilIdle().ok()) return 1;
 
   bench::PrintRule();
@@ -381,7 +415,7 @@ int RunSchedulerMode(const gpu::Platform& platform, double scale,
               "backfill");
   bench::PrintRule();
   for (size_t i = 0; i < tickets.size(); ++i) {
-    const CorpusServer::ServedRun& waved = (*drained)[i];
+    const CorpusServer::ServedRun& waved = drained[i];
     const CorpusServer::ServedRun* rolled = tickets[i].TryGet();
     if (rolled == nullptr) {
       std::fprintf(stderr, "GATE FAILED: ticket %zu never served\n", i);
@@ -547,15 +581,10 @@ int RunShardedMode(const gpu::Platform& platform, double scale,
   // on ONE device the corpus-wide runs serialize; each extra device brings
   // its own budget (scale-out adds capacity, the multi-GPU premise).
   uint64_t max_fp = 0;
-  {
-    auto sizer = CorpusServer::Create(&mc.corpus, base);
-    if (!sizer.ok()) return 1;
-    for (const auto& req : mixed) {
-      auto admission = (*sizer)->Submit(req);
-      if (!admission.ok()) return 1;
-      max_fp = std::max(max_fp, admission->footprint_slots);
-    }
-  }
+  const std::vector<uint64_t> footprints =
+      ProbeFootprints(&mc.corpus, base, mixed);
+  if (footprints.size() != mixed.size()) return 1;
+  for (uint64_t fp : footprints) max_fp = std::max(max_fp, fp);
   CorpusServer::Options opt = base;
   opt.device_slot_budget = max_fp + max_fp / 2;
 

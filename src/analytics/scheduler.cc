@@ -16,18 +16,9 @@ void RunScheduler::Enqueue(ScheduledRun run) {
     // CPU-lane runs hold one lane and ZERO device slots: no budget
     // reservation, no quota charge — the lane count is their only
     // admission constraint.
-    run.footprint_slots = 0;
     run.device_slots.assign(num_devices(), 0);
-  } else if (run.device_slots.empty()) {
-    // Single-device callers describe their reservation with one number; it
-    // lives on device 0 (the only device of a group of one).
-    run.device_slots.assign(num_devices(), 0);
-    run.device_slots[0] = run.footprint_slots;
   } else {
     run.device_slots.resize(num_devices(), 0);
-    uint64_t total = 0;
-    for (uint64_t s : run.device_slots) total += s;
-    run.footprint_slots = total;
   }
   queue_.push_back(QueuedEntry{run});
 }
@@ -187,7 +178,7 @@ void RunScheduler::PopEarliestCompletion() {
   if (active_.empty()) return;
   // The earliest pending (run, device) release event. A device whose shard
   // duration is unreported yet (completion < 0) is treated as completing at
-  // its start — the defensive stance the single-device scheduler took.
+  // its start (defensive: every started run reports before the next start).
   size_t run_idx = active_.size();
   size_t dev_idx = 0;
   double earliest = 0.0;
@@ -215,7 +206,7 @@ void RunScheduler::PopEarliestCompletion() {
   for (bool released : run.device_released) all_released &= released;
   if (all_released) {
     // Retiring the run advances the clock through its scatter/gather tail
-    // (completion includes the cross-shard merge; for a single device it
+    // (completion includes the cross-shard merge; in a group of one it
     // equals the release event just popped). A lane run frees its lane
     // here — the lane is held for the run's full duration.
     now_ = std::max(now_, run.completion < 0.0 ? run.start_time

@@ -16,10 +16,11 @@ inline constexpr double kNoDeadline = std::numeric_limits<double>::infinity();
 
 /// How admitted runs give their device-slot reservations back.
 enum class AdmissionMode {
-  /// The legacy Drain discipline: runs are admitted as the longest
-  /// strictly-ordered prefix that fits the budget, every member starts at
-  /// the wave's start, and ALL reservations are held until the slowest
-  /// member completes (a barrier). Admission only happens between waves.
+  /// The barrier discipline (the baseline rolling admission is measured
+  /// against): runs are admitted as the longest strictly-ordered prefix
+  /// that fits the budget, every member starts at the wave's start, and
+  /// ALL reservations are held until the slowest member completes (a
+  /// barrier). Admission only happens between waves.
   kBarrierWaves,
   /// The rolling window: each run releases its reservation at its OWN
   /// completion time, and the next eligible queued run is started the
@@ -33,22 +34,19 @@ enum class AdmissionMode {
 
 /// One queued unit of work as the scheduler sees it: an opaque ticket plus
 /// the admission-relevant facts (footprint, owner, QoS knobs). Durations are
-/// unknown until the run executes; see RunScheduler::FinishStarted.
+/// unknown until the run executes; see RunScheduler::FinishSharded.
 struct ScheduledRun {
-  uint64_t ticket = 0;           ///< caller-issued, unique, FIFO-ordered
-  uint64_t tenant = 0;           ///< SlotBudget owner id (0 = default)
-  uint64_t footprint_slots = 0;  ///< device-slot reservation while resident
-  /// Sharded serving: the run's reservation on each device of the group
-  /// (one entry per scheduler device; zero = the run does not touch that
-  /// device). Left empty by single-device callers — Enqueue then places
-  /// footprint_slots on device 0. When set, footprint_slots is normalized
-  /// to the entries' sum.
+  uint64_t ticket = 0;  ///< caller-issued, unique, FIFO-ordered
+  uint64_t tenant = 0;  ///< SlotBudget owner id (0 = untagged)
+  /// The run's device-slot reservation while resident, one entry per
+  /// scheduler device (zero = the run does not touch that device; missing
+  /// trailing entries are zero).
   std::vector<uint64_t> device_slots;
   int32_t priority = 0;           ///< higher starts first
   double deadline = kNoDeadline;  ///< absolute simulated s; ties break EDF
   double submit_time = 0.0;       ///< stamped by Enqueue from the sim clock
   /// CPU-dispatched run: occupies one simulated CPU lane for its full
-  /// duration and ZERO device slots (Enqueue clears its footprint). Lane
+  /// duration and ZERO device slots (Enqueue clears its device_slots). Lane
   /// runs never reserve against the budgets, so they overlap GPU device
   /// time freely and backfill past GPU-bound queues; their only admission
   /// constraint is RunSchedulerOptions::cpu_lanes.
@@ -83,8 +81,8 @@ struct AdmissionDecision {
   uint64_t wave = 0;  ///< 1-based wave number (barrier mode); 0 in rolling
 };
 
-/// \brief Simulated-timeline admission scheduler over the SlotBudget(s) of
-/// one device — or of an N-device group.
+/// \brief Simulated-timeline admission scheduler over the SlotBudgets of an
+/// N-device group (N >= 1).
 ///
 /// The model: admitted runs are co-resident on the device group, overlapping
 /// in SIMULATED time — run i occupies its per-device footprints for
@@ -99,9 +97,10 @@ struct AdmissionDecision {
 ///   2. Loop: StartNext(mode) picks a run and reserves its footprint on
 ///      every device it touches, all or nothing (possibly first advancing
 ///      the clock through completion events to free slots); the caller
-///      executes it and reports the measured duration(s) via FinishStarted
-///      (single device) or FinishSharded (per-device durations + the
-///      scatter/gather tail). Repeat until StartNext returns nullopt.
+///      executes it and reports the measured duration(s) via FinishSharded
+///      (per-device durations + the scatter/gather tail) or FinishStarted
+///      (one duration for the whole run, e.g. a CPU-lane run). Repeat until
+///      StartNext returns nullopt.
 ///   3. DrainActive(mode) retires the remaining completions.
 ///
 /// Ordering: priority desc, then deadline asc (EDF, kNoDeadline last), then
@@ -114,15 +113,9 @@ struct AdmissionDecision {
 /// protocol), and per-tenant group quotas bind across shards.
 class RunScheduler {
  public:
-  /// Single-device scheduler (a group of one). `budget` must outlive the
-  /// scheduler; reservations are tagged with each run's tenant so per-tenant
-  /// quotas bind (see SlotBudget::SetOwnerQuota).
-  explicit RunScheduler(gpu::SlotBudget* budget,
-                        RunSchedulerOptions options = {})
-      : RunScheduler(std::vector<gpu::SlotBudget*>{budget}, options) {}
-
-  /// Sharded scheduler over one SlotBudget per device. The budgets must
-  /// outlive the scheduler.
+  /// A scheduler over one SlotBudget per device. The budgets must outlive
+  /// the scheduler; reservations are tagged with each run's tenant so
+  /// per-tenant quotas bind (see SlotBudgetGroup::SetOwnerQuota).
   explicit RunScheduler(std::vector<gpu::SlotBudget*> budgets,
                         RunSchedulerOptions options = {})
       : budgets_(std::move(budgets)), group_(budgets_), options_(options) {}
@@ -145,8 +138,9 @@ class RunScheduler {
   std::optional<AdmissionDecision> StartNext(AdmissionMode mode);
 
   /// Reports the measured duration of a started run; its completion event
-  /// (start + duration) is when its reservation becomes releasable. Must be
-  /// called before the next StartNext (execution is serial).
+  /// (start + duration) is when its reservation becomes releasable on every
+  /// device. Must be called before the next StartNext (execution is
+  /// serial).
   void FinishStarted(uint64_t ticket, double duration_seconds);
 
   /// Sharded completion report: device d's reservation becomes releasable

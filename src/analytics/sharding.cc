@@ -95,13 +95,18 @@ Result<DeviceGroup::RunResult> DeviceGroup::Execute(const RunSpec& spec) {
   RunResult out;
   out.device_durations.assign(num_devices, 0.0);
 
+  // A group of one is the single-GPU setting: its device runs every run,
+  // even one routed zero documents, and merges inside its shard. The run is
+  // then exactly one BatchEngine run — no gather tail, no recomposed timing.
+  const bool group_of_one = num_devices == 1;
+
   // Scatter: one shard-local batch per device the route sends work to.
   // Devices routed nothing are never touched — no engine, no device state.
   // Host execution is serial over devices (deterministic stats); on the
   // SIMULATED timeline the shards overlap, being separate GPUs.
   std::vector<std::optional<BatchEngine::BatchRun>> device_runs(num_devices);
   for (size_t d = 0; d < num_devices; ++d) {
-    if (route.device_documents[d] == 0) continue;
+    if (route.device_documents[d] == 0 && !group_of_one) continue;
     BatchEngine::Options bopt;
     bopt.engine = spec.engine;
     bopt.host_workers = spec.host_workers;
@@ -109,9 +114,10 @@ Result<DeviceGroup::RunResult> DeviceGroup::Execute(const RunSpec& spec) {
     bopt.overlap_uploads = spec.overlap_uploads;
     bopt.presize_pool_slots =
         d < spec.device_presize.size() ? spec.device_presize[d] : 0;
-    // The gather below performs the one corpus-order merge; shard-local
-    // merges would charge duplicate reduce work the real run never does.
-    bopt.merge_results = false;
+    // Otherwise the gather below performs the one corpus-order merge;
+    // shard-local merges would charge duplicate reduce work the real run
+    // never does.
+    bopt.merge_results = group_of_one;
     if (spec.on_document_executed) {
       // Executed documents only: masked replicas and skipped documents
       // would double-count across devices.
@@ -127,7 +133,7 @@ Result<DeviceGroup::RunResult> DeviceGroup::Execute(const RunSpec& spec) {
 
     out.device_durations[d] = run->timing.total_seconds();
     DeviceCounters& counters = counters_[d];
-    ++counters.runs_routed;
+    if (route.device_documents[d] > 0) ++counters.runs_routed;
     counters.documents_executed += route.device_documents[d];
     counters.init_ops += run->timing.init_ops;
     counters.traversal_ops += run->timing.traversal_ops;
@@ -136,11 +142,15 @@ Result<DeviceGroup::RunResult> DeviceGroup::Execute(const RunSpec& spec) {
     counters.mid_run_pool_growths += run->mid_run_pool_growths;
     device_runs[d] = std::move(*run);
   }
+  if (group_of_one) {
+    out.batch = std::move(*device_runs[0]);
+    return out;
+  }
 
   // Gather: global documents in corpus order. Executed documents come from
   // their executing replica (their results are device-independent); skipped
   // documents are assembled empty through the same kernel path a masked
-  // single-device batch uses.
+  // BatchEngine run uses.
   BatchEngine::BatchRun& batch = out.batch;
   batch.documents.resize(n);
   for (uint32_t g = 0; g < n; ++g) {
@@ -165,7 +175,7 @@ Result<DeviceGroup::RunResult> DeviceGroup::Execute(const RunSpec& spec) {
   }
 
   // The one corpus-order merge — identical inputs and order to a
-  // single-device batch, so identical merged output.
+  // one-device BatchEngine run, so identical merged output.
   batch.merged.task = spec.task;
   uint64_t merge_ops = 0;
   for (const BatchEngine::DocumentRun& doc : batch.documents) {

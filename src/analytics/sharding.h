@@ -112,6 +112,12 @@ class ShardedCorpus {
 /// GPUs): the run's duration is the slowest device's shard plus the gather
 /// merge, and each device is individually releasable at its own shard
 /// completion (RunScheduler::FinishSharded).
+///
+/// A group of one is the paper's single-GPU setting and the serving layer's
+/// N = 1 case: its device executes every run (even one routed zero
+/// documents) and merges inside its shard, so the result is exactly one
+/// BatchEngine run over the corpus, gather_seconds is 0 and
+/// device_durations is {total}.
 class DeviceGroup {
  public:
   /// One sharded run.
@@ -147,7 +153,8 @@ class DeviceGroup {
     BatchEngine::BatchRun batch;
     /// Simulated duration of each device's shard (0 for idle devices).
     std::vector<double> device_durations;
-    /// The cross-device merge tail, charged at device reduce throughput.
+    /// The cross-device merge tail, charged at device reduce throughput
+    /// (0 in a group of one, whose device merges inside its shard).
     double gather_seconds = 0;
   };
 
@@ -160,7 +167,8 @@ class DeviceGroup {
     uint64_t init_ops = 0;            ///< simulated phase-1 ops charged
     uint64_t traversal_ops = 0;       ///< simulated phase-2 ops charged
     double upload_seconds = 0;        ///< simulated H2D time charged
-    double busy_seconds = 0;          ///< summed shard durations
+    /// Summed shard durations of every run the device executed.
+    double busy_seconds = 0;
     uint64_t mid_run_pool_growths = 0;
   };
 

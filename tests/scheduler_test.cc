@@ -13,6 +13,7 @@
 #include "datagen/datagen.h"
 #include "gpu/platform.h"
 #include "gtadoc/engine.h"
+#include "serving_helpers.h"
 
 namespace gtadoc {
 namespace {
@@ -78,14 +79,14 @@ SyntheticDrive Drive(RunScheduler* scheduler, gpu::SlotBudget* budget,
 
 TEST(RunSchedulerTest, BudgetNeverExceededAtAnyCompletionEvent) {
   gpu::SlotBudget budget(100);
-  RunScheduler scheduler(&budget);
+  RunScheduler scheduler({&budget});
   std::map<uint64_t, double> durations;
   // A mix that cannot all be resident at once: footprints sum to 260.
   const uint64_t footprints[] = {60, 40, 80, 30, 50};
   for (uint64_t t = 0; t < 5; ++t) {
     ScheduledRun run;
     run.ticket = t;
-    run.footprint_slots = footprints[t];
+    run.device_slots = {footprints[t]};
     scheduler.Enqueue(run);
     durations[t] = 1.0 + static_cast<double>(t);
   }
@@ -104,7 +105,7 @@ TEST(RunSchedulerTest, PerTenantQuotaRespectedUnderInterleaving) {
   gpu::SlotBudget budget(200);
   budget.SetOwnerQuota(1, 60);
   budget.SetOwnerQuota(2, 100);
-  RunScheduler scheduler(&budget);
+  RunScheduler scheduler({&budget});
   std::map<uint64_t, double> durations;
   // Tenant 1 submits three 40-slot runs (two would breach its 60-slot
   // quota); tenant 2 submits two 50-slot runs. The global budget could
@@ -118,7 +119,7 @@ TEST(RunSchedulerTest, PerTenantQuotaRespectedUnderInterleaving) {
     ScheduledRun run;
     run.ticket = t;
     run.tenant = specs[t].tenant;
-    run.footprint_slots = specs[t].footprint;
+    run.device_slots = {specs[t].footprint};
     scheduler.Enqueue(run);
     durations[t] = 2.0;
   }
@@ -136,7 +137,7 @@ TEST(RunSchedulerTest, AgingAdmitsStarvedLargeRunUnderContinuousBackfill) {
   gpu::SlotBudget budget(100);
   RunSchedulerOptions opt;
   opt.aging_limit = 4;
-  RunScheduler scheduler(&budget, opt);
+  RunScheduler scheduler({&budget}, opt);
   std::map<uint64_t, double> durations;
   // Ticket 0: a small run that is resident when the full-budget run (ticket
   // 1) arrives. Tickets 2..21: a continuous stream of small runs that all
@@ -145,7 +146,7 @@ TEST(RunSchedulerTest, AgingAdmitsStarvedLargeRunUnderContinuousBackfill) {
   auto enqueue = [&](uint64_t ticket, uint64_t footprint, double duration) {
     ScheduledRun run;
     run.ticket = ticket;
-    run.footprint_slots = footprint;
+    run.device_slots = {footprint};
     scheduler.Enqueue(run);
     durations[ticket] = duration;
   };
@@ -170,7 +171,7 @@ TEST(RunSchedulerTest, AgingAdmitsStarvedLargeRunUnderContinuousBackfill) {
 
 TEST(RunSchedulerTest, DeadlinesOrderStartsEarliestFirst) {
   gpu::SlotBudget budget(100);
-  RunScheduler scheduler(&budget);
+  RunScheduler scheduler({&budget});
   std::map<uint64_t, double> durations;
   // Every run needs the whole device, so starts serialize and the order is
   // pure QoS: equal priority, EDF by deadline, submission order last.
@@ -178,7 +179,7 @@ TEST(RunSchedulerTest, DeadlinesOrderStartsEarliestFirst) {
   for (uint64_t t = 0; t < 5; ++t) {
     ScheduledRun run;
     run.ticket = t;
-    run.footprint_slots = 100;
+    run.device_slots = {100};
     run.deadline = deadlines[t];
     scheduler.Enqueue(run);
     durations[t] = 1.0;
@@ -191,7 +192,7 @@ TEST(RunSchedulerTest, DeadlinesOrderStartsEarliestFirst) {
 
 TEST(RunSchedulerTest, PriorityOutranksDeadlineAndSubmissionOrder) {
   gpu::SlotBudget budget(100);
-  RunScheduler scheduler(&budget);
+  RunScheduler scheduler({&budget});
   std::map<uint64_t, double> durations;
   struct Spec {
     int32_t priority;
@@ -201,7 +202,7 @@ TEST(RunSchedulerTest, PriorityOutranksDeadlineAndSubmissionOrder) {
   for (uint64_t t = 0; t < 4; ++t) {
     ScheduledRun run;
     run.ticket = t;
-    run.footprint_slots = 100;
+    run.device_slots = {100};
     run.priority = specs[t].priority;
     run.deadline = specs[t].deadline;
     scheduler.Enqueue(run);
@@ -222,7 +223,7 @@ TEST(RunSchedulerTest, RollingStrictlyBeatsBarrierWavesOnMixedWorkload) {
     auto enqueue = [&](uint64_t ticket, uint64_t footprint, double duration) {
       ScheduledRun run;
       run.ticket = ticket;
-      run.footprint_slots = footprint;
+      run.device_slots = {footprint};
       scheduler->Enqueue(run);
       (*durations)[ticket] = duration;
     };
@@ -238,14 +239,14 @@ TEST(RunSchedulerTest, RollingStrictlyBeatsBarrierWavesOnMixedWorkload) {
   };
 
   gpu::SlotBudget wave_budget(100);
-  RunScheduler waves(&wave_budget);
+  RunScheduler waves({&wave_budget});
   std::map<uint64_t, double> durations;
   enqueue_all(&waves, &durations);
   SyntheticDrive wave_drive =
       Drive(&waves, &wave_budget, AdmissionMode::kBarrierWaves, durations);
 
   gpu::SlotBudget rolling_budget(100);
-  RunScheduler rolling(&rolling_budget);
+  RunScheduler rolling({&rolling_budget});
   std::map<uint64_t, double> rolling_durations;
   enqueue_all(&rolling, &rolling_durations);
   SyntheticDrive rolling_drive = Drive(&rolling, &rolling_budget,
@@ -311,59 +312,64 @@ TEST(TenantServingTest, RollingServeIsBitIdenticalToLegacyDrainPerTicket) {
                                    Task::kTermVector, Task::kSort,
                                    Task::kInvertedIndex, Task::kWordCount};
 
-  // Identical servers; a budget that forces multiple waves on one and
-  // rolling admission decisions on the other.
+  // Identical servers; a budget that forces multiple barrier waves on one
+  // (ServeUntilIdle(kBarrierWaves), the discipline of the removed Drain
+  // the test is named after) and rolling admission decisions on the other.
   CorpusServer::Options sizing;
   sizing.engine = GpuOptions();
   auto sizer = CorpusServer::Create(&corpus, sizing);
   ASSERT_TRUE(sizer.ok());
+  auto sizing_tenant = (*sizer)->OpenTenant({});
+  ASSERT_TRUE(sizing_tenant.ok());
+  std::vector<CorpusServer::RunRequest> requests;
   uint64_t max_fp = 0;
   for (Task t : tasks) {
     CorpusServer::RunRequest req;
     req.task = t;
-    auto admission = (*sizer)->Submit(req);
-    ASSERT_TRUE(admission.ok());
-    max_fp = std::max(max_fp, admission->footprint_slots);
+    requests.push_back(req);
+    auto sized = sizing_tenant->Submit(req);
+    ASSERT_TRUE(sized.ok());
+    ASSERT_TRUE(sized->admitted());
+    max_fp = std::max(max_fp, sized->admission->footprint_slots);
   }
   CorpusServer::Options opt = sizing;
   opt.device_slot_budget = max_fp + max_fp / 2;
 
-  auto drain_server = CorpusServer::Create(&corpus, opt);
+  auto wave_server = CorpusServer::Create(&corpus, opt);
   auto rolling_server = CorpusServer::Create(&corpus, opt);
-  ASSERT_TRUE(drain_server.ok());
+  ASSERT_TRUE(wave_server.ok());
   ASSERT_TRUE(rolling_server.ok());
   auto tenant = (*rolling_server)->OpenTenant({});
   ASSERT_TRUE(tenant.ok());
 
   std::vector<CorpusServer::RunTicket> tickets;
-  for (Task t : tasks) {
-    CorpusServer::RunRequest req;
-    req.task = t;
-    ASSERT_TRUE((*drain_server)->Submit(req).ok());
+  for (const auto& req : requests) {
     auto submitted = tenant->Submit(req);
     ASSERT_TRUE(submitted.ok()) << submitted.status().ToString();
     ASSERT_TRUE(submitted->admitted());
     tickets.push_back(*submitted->ticket);
   }
 
-  auto drained = (*drain_server)->Drain();
-  ASSERT_TRUE(drained.ok()) << drained.status().ToString();
+  // The same submissions served under barrier waves, the baseline.
+  auto waved = SubmitAndServe(wave_server->get(), requests,
+                                AdmissionMode::kBarrierWaves);
+  ASSERT_TRUE(waved.ok()) << waved.status().ToString();
   ASSERT_TRUE((*rolling_server)->ServeUntilIdle().ok());
 
-  ASSERT_EQ(drained->size(), tickets.size());
+  ASSERT_EQ(waved->size(), tickets.size());
   for (size_t i = 0; i < tickets.size(); ++i) {
     const CorpusServer::ServedRun* peeked = tickets[i].TryGet();
     ASSERT_NE(peeked, nullptr) << "ticket " << i << " not served";
     // Bit-identity regardless of admission order: rolling may start runs
     // in a different order than the waves, but every run's output is the
     // same serial BatchEngine result.
-    EXPECT_TRUE(peeked->batch.merged.SameAs((*drained)[i].batch.merged))
+    EXPECT_TRUE(peeked->batch.merged.SameAs((*waved)[i].batch.merged))
         << TaskName(tasks[i]);
     ASSERT_EQ(peeked->batch.documents.size(),
-              (*drained)[i].batch.documents.size());
+              (*waved)[i].batch.documents.size());
     for (size_t d = 0; d < peeked->batch.documents.size(); ++d) {
       EXPECT_TRUE(peeked->batch.documents[d].result.SameAs(
-          (*drained)[i].batch.documents[d].result))
+          (*waved)[i].batch.documents[d].result))
           << TaskName(tasks[i]) << " doc " << d;
     }
     // Await moves the result out; a second Await is NotFound.
@@ -379,7 +385,7 @@ TEST(TenantServingTest, RollingServeIsBitIdenticalToLegacyDrainPerTicket) {
   // ...with no wave barrier, and no later mean queue-wait than the waves.
   EXPECT_EQ((*rolling_server)->stats().waves, 0u);
   EXPECT_LE((*rolling_server)->stats().queue_wait_seconds,
-            (*drain_server)->stats().queue_wait_seconds);
+            (*wave_server)->stats().queue_wait_seconds);
 }
 
 TEST(TenantServingTest, AwaitServesJustFarEnoughAndStatsTrackTenants) {
@@ -437,11 +443,14 @@ TEST(TenantServingTest, RejectionReasonsAreStructured) {
   sizing.engine = GpuOptions();
   auto sizer = CorpusServer::Create(&corpus, sizing);
   ASSERT_TRUE(sizer.ok());
+  auto sizing_tenant = (*sizer)->OpenTenant({});
+  ASSERT_TRUE(sizing_tenant.ok());
   CorpusServer::RunRequest req;
   req.task = Task::kWordCount;
-  auto probed = (*sizer)->Submit(req);
+  auto probed = sizing_tenant->Submit(req);
   ASSERT_TRUE(probed.ok());
-  const uint64_t footprint = probed->footprint_slots;
+  ASSERT_TRUE(probed->admitted());
+  const uint64_t footprint = probed->admission->footprint_slots;
   ASSERT_GT(footprint, 2u);
 
   CorpusServer::Options opt = sizing;
@@ -462,7 +471,6 @@ TEST(TenantServingTest, RejectionReasonsAreStructured) {
             CorpusServer::Rejection::Reason::kOverQuota);
   EXPECT_EQ(over_quota->rejection->requested_slots, footprint);
   EXPECT_EQ(over_quota->rejection->limit_slots, footprint - 1);
-  EXPECT_TRUE(over_quota->rejection->ToStatus().IsOutOfMemory());
 
   // Malformed: a negative deadline is a structured refusal, not a crash
   // and not an opaque Status.
@@ -473,7 +481,6 @@ TEST(TenantServingTest, RejectionReasonsAreStructured) {
   ASSERT_FALSE(malformed->admitted());
   EXPECT_EQ(malformed->rejection->reason,
             CorpusServer::Rejection::Reason::kMalformed);
-  EXPECT_TRUE(malformed->rejection->ToStatus().IsInvalidArgument());
 
   // Over-budget: a budget below the footprint refuses any tenant.
   CorpusServer::Options tiny = sizing;
@@ -487,18 +494,16 @@ TEST(TenantServingTest, RejectionReasonsAreStructured) {
   ASSERT_FALSE(over_budget->admitted());
   EXPECT_EQ(over_budget->rejection->reason,
             CorpusServer::Rejection::Reason::kOverBudget);
-  EXPECT_TRUE(over_budget->rejection->ToStatus().IsOutOfMemory());
 
   // A quota no budget could honor is refused at OpenTenant.
   CorpusServer::TenantOptions oversized;
   oversized.slot_quota = footprint + 1;
   EXPECT_FALSE((*tiny_server)->OpenTenant(oversized).ok());
 
-  // Unknown tasks stay a genuine NotFound under both APIs.
+  // Unknown tasks stay a genuine NotFound, not a policy Rejection.
   CorpusServer::RunRequest unknown;
   unknown.task = static_cast<Task>(987654);
   EXPECT_TRUE(tenant->Submit(unknown).status().IsNotFound());
-  EXPECT_TRUE((*server)->Submit(unknown).status().IsNotFound());
 
   // Rejected runs were never queued; the structured refusals were counted.
   EXPECT_EQ((*server)->queued(), 0u);
@@ -513,15 +518,18 @@ TEST(TenantServingTest, PriorityReordersRollingStartsAcrossTenants) {
   sizing.engine = GpuOptions();
   auto sizer = CorpusServer::Create(&corpus, sizing);
   ASSERT_TRUE(sizer.ok());
+  auto sizing_tenant = (*sizer)->OpenTenant({});
+  ASSERT_TRUE(sizing_tenant.ok());
   CorpusServer::RunRequest req;
   req.task = Task::kInvertedIndex;
-  auto probed = (*sizer)->Submit(req);
+  auto probed = sizing_tenant->Submit(req);
   ASSERT_TRUE(probed.ok());
+  ASSERT_TRUE(probed->admitted());
 
   // The budget admits exactly one run at a time, so starts serialize and
   // the order is pure QoS.
   CorpusServer::Options opt = sizing;
-  opt.device_slot_budget = probed->footprint_slots;
+  opt.device_slot_budget = probed->admission->footprint_slots;
   auto server = CorpusServer::Create(&corpus, opt);
   ASSERT_TRUE(server.ok());
   CorpusServer::TenantOptions batch_opt;

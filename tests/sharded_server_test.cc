@@ -15,6 +15,7 @@
 #include "datagen/datagen.h"
 #include "gpu/platform.h"
 #include "gtadoc/engine.h"
+#include "serving_helpers.h"
 #include "tadoc/parallel_engine.h"
 
 namespace gtadoc {
@@ -172,13 +173,11 @@ TEST(ShardedServerTest, BitIdenticalToSingleDeviceAcrossShardsAndReplication) {
                                      /*num_markers=*/2);
   const std::vector<CorpusServer::RunRequest> requests = MixedRequests(mc);
 
-  // The reference: the classic single-device serial server.
+  // The reference: the one-device serial server.
   auto baseline_server = CorpusServer::Create(&mc.corpus, ServerOptions(1, 1));
   ASSERT_TRUE(baseline_server.ok());
-  for (const auto& request : requests) {
-    ASSERT_TRUE((*baseline_server)->Submit(request).ok());
-  }
-  auto baseline = (*baseline_server)->Drain();
+  auto baseline = SubmitAndServe(baseline_server->get(), requests,
+                                 AdmissionMode::kBarrierWaves);
   ASSERT_TRUE(baseline.ok()) << baseline.status().ToString();
   ASSERT_EQ(baseline->size(), requests.size());
 
@@ -189,11 +188,8 @@ TEST(ShardedServerTest, BitIdenticalToSingleDeviceAcrossShardsAndReplication) {
       auto server = CorpusServer::Create(
           &mc.corpus, ServerOptions(num_devices, replication));
       ASSERT_TRUE(server.ok());
-      for (const auto& request : requests) {
-        auto admission = (*server)->Submit(request);
-        ASSERT_TRUE(admission.ok()) << admission.status().ToString();
-      }
-      auto served = (*server)->Drain();
+      auto served = SubmitAndServe(server->get(), requests,
+                                   AdmissionMode::kBarrierWaves);
       ASSERT_TRUE(served.ok()) << served.status().ToString();
       ASSERT_EQ(served->size(), baseline->size());
 
@@ -239,17 +235,19 @@ TEST(ShardedServerTest, BloomRejectedShardReceivesNoWork) {
   auto server = CorpusServer::Create(&mc.corpus, ServerOptions(4, 1));
   ASSERT_TRUE(server.ok());
 
+  auto tenant = (*server)->OpenTenant({});
+  ASSERT_TRUE(tenant.ok());
   CorpusServer::RunRequest request;
   request.task = Task::kKeywordSearch;
   for (uint32_t m : mc.markers) request.query_sets.push_back({m});
-  auto admission = (*server)->Submit(request);
-  ASSERT_TRUE(admission.ok()) << admission.status().ToString();
-  EXPECT_EQ(admission->documents_to_execute, 2u);
-  EXPECT_EQ(admission->documents_skipped, 6u);
+  auto submitted = tenant->Submit(request);
+  ASSERT_TRUE(submitted.ok()) << submitted.status().ToString();
+  ASSERT_TRUE(submitted->admitted());
+  EXPECT_EQ(submitted->admission->documents_to_execute, 2u);
+  EXPECT_EQ(submitted->admission->documents_skipped, 6u);
 
-  auto served = (*server)->Drain();
+  auto served = submitted->ticket->Await();
   ASSERT_TRUE(served.ok()) << served.status().ToString();
-  ASSERT_EQ(served->size(), 1u);
 
   const CorpusServer::Stats& stats = (*server)->stats();
   ASSERT_EQ(stats.devices.size(), 4u);
@@ -270,7 +268,8 @@ TEST(ShardedServerTest, BloomRejectedShardReceivesNoWork) {
     EXPECT_EQ(stats.devices[d].slot_seconds_held, 0.0) << "device " << d;
   }
   // Only routed devices ran, and only their shard durations are non-zero.
-  const CorpusServer::ServedRun& run = (*served)[0];
+  EXPECT_EQ(stats.served, 1u);
+  const CorpusServer::ServedRun& run = *served;
   ASSERT_EQ(run.device_durations.size(), 4u);
   EXPECT_GT(run.device_durations[0], 0.0);
   EXPECT_GT(run.device_durations[1], 0.0);
@@ -309,18 +308,21 @@ TEST(ShardedServerTest, BloomFalsePositiveShardExecutesAndStaysCorrect) {
   auto baseline_server =
       CorpusServer::Create(&mc.corpus, ServerOptions(1, 1));
   ASSERT_TRUE(baseline_server.ok());
-  ASSERT_TRUE((*baseline_server)->Submit(probe).ok());
-  auto baseline = (*baseline_server)->Drain();
+  auto baseline = SubmitAndServe(baseline_server->get(), {probe},
+                                 AdmissionMode::kBarrierWaves);
   ASSERT_TRUE(baseline.ok());
 
   auto server = CorpusServer::Create(&mc.corpus, ServerOptions(3, 1));
   ASSERT_TRUE(server.ok());
-  auto admission = (*server)->Submit(probe);
-  ASSERT_TRUE(admission.ok());
+  auto tenant = (*server)->OpenTenant({});
+  ASSERT_TRUE(tenant.ok());
+  auto submitted = tenant->Submit(probe);
+  ASSERT_TRUE(submitted.ok());
+  ASSERT_TRUE(submitted->admitted());
   uint32_t expected_execute = 0;
   for (uint8_t e : mask) expected_execute += e;
-  EXPECT_EQ(admission->documents_to_execute, expected_execute);
-  auto served = (*server)->Drain();
+  EXPECT_EQ(submitted->admission->documents_to_execute, expected_execute);
+  auto served = submitted->ticket->Await();
   ASSERT_TRUE(served.ok());
 
   // The false-positive document executed on its round-robin device (doc 4
@@ -338,7 +340,7 @@ TEST(ShardedServerTest, BloomFalsePositiveShardExecutesAndStaysCorrect) {
         << "device " << d;
   }
   EXPECT_GE(stats.devices[4 % 3].documents_executed, 1u);
-  const BatchEngine::BatchRun& run = (*served)[0].batch;
+  const BatchEngine::BatchRun& run = served->batch;
   EXPECT_FALSE(run.documents[4].skipped);
   EXPECT_TRUE(run.documents[4].result.keyword_search.empty());
   EXPECT_TRUE(run.merged.SameAs((*baseline)[0].batch.merged));
@@ -363,8 +365,8 @@ TEST(ShardedServerTest, PerDeviceBudgetNeverExceededUnderRollingAdmission) {
   // per-device footprint through each device's reservation peak.
   auto sizing = CorpusServer::Create(&mc.corpus, ServerOptions(2, 1));
   ASSERT_TRUE(sizing.ok());
-  ASSERT_TRUE((*sizing)->Submit(request).ok());
-  ASSERT_TRUE((*sizing)->ServeUntilIdle().ok());
+  ASSERT_TRUE(SubmitAndServe(sizing->get(), {request},
+                             AdmissionMode::kRolling).ok());
   uint64_t max_device_footprint = 0;
   for (const auto& device : (*sizing)->stats().devices) {
     max_device_footprint =
@@ -416,9 +418,12 @@ TEST(ShardedServerTest, TenantQuotaSpansShards) {
 
   auto sizing = CorpusServer::Create(&mc.corpus, ServerOptions(4, 1));
   ASSERT_TRUE(sizing.ok());
-  auto sized = (*sizing)->Submit(request);
+  auto sizing_tenant = (*sizing)->OpenTenant({});
+  ASSERT_TRUE(sizing_tenant.ok());
+  auto sized = sizing_tenant->Submit(request);
   ASSERT_TRUE(sized.ok());
-  const uint64_t total_footprint = sized->footprint_slots;
+  ASSERT_TRUE(sized->admitted());
+  const uint64_t total_footprint = sized->admission->footprint_slots;
   ASSERT_GT(total_footprint, 0u);
 
   // Generous per-device budget; the tenant's quota is one slot short of
@@ -466,9 +471,13 @@ TEST(ShardedServerTest, SingleDeviceStatsMirrorAggregates) {
                                      /*num_markers=*/1);
   auto server = CorpusServer::Create(&mc.corpus, ServerOptions(1, 1));
   ASSERT_TRUE(server.ok());
+  auto tenant = (*server)->OpenTenant({});
+  ASSERT_TRUE(tenant.ok());
   CorpusServer::RunRequest request;
   request.task = Task::kWordCount;
-  ASSERT_TRUE((*server)->Submit(request).ok());
+  auto submitted = tenant->Submit(request);
+  ASSERT_TRUE(submitted.ok());
+  ASSERT_TRUE(submitted->admitted());
   ASSERT_TRUE((*server)->ServeUntilIdle().ok());
 
   const CorpusServer::Stats& stats = (*server)->stats();
