@@ -55,9 +55,9 @@ using TermVectorResult =
 /// sequenceCount: one row per distinct (file id, l-gram) with its count,
 /// sorted by (file, gram) — the gram is the l concatenated word ids, so the
 /// rows are in the order of an ordered map keyed by (file, word sequence).
-/// Assembly is one sort of the drained rows; a corpus merge appends rows with
-/// offset file ids, which keeps them sorted when documents merge in corpus
-/// order.
+/// Assembly is one stable radix order of the drained rows
+/// (NgramRows::SortByFileGram); a corpus merge appends rows with offset file
+/// ids, which keeps them sorted when documents merge in corpus order.
 struct SequenceCountResult : NgramRows {
   SequenceCountResult() = default;
   /// Adopts rows already ordered by NgramRows::SortByFileGram.
@@ -71,9 +71,10 @@ struct SequenceCountResult : NgramRows {
 /// rankedInvertedIndex: every distinct l-gram in lexicographic order with
 /// its postings, (file id, count) ordered by count desc then file id asc.
 /// Compressed sparse rows: gram i is grams[i*l, (i+1)*l) and its postings
-/// are postings[offsets[i], offsets[i+1]). Assembly is one sort of the
-/// drained rows; a corpus merge appends each document's grams unsorted and
-/// FinalizeMergedResult regroups them once.
+/// are postings[offsets[i], offsets[i+1]). Assembly is one stable radix
+/// order of the drained rows (file, then count desc, then gram); a corpus
+/// merge appends each document's groups as one run sorted by gram, and
+/// FinalizeMergedResult merges the runs by gram.
 struct RankedInvertedIndexResult {
   using Posting = std::pair<uint32_t, uint64_t>;
 
@@ -188,8 +189,8 @@ void MergeResult(const AnalyticsResult& doc, uint32_t file_base,
                  AnalyticsResult* acc, uint64_t* merge_ops);
 
 /// Completes an accumulator built by MergeResult: materializes sort from the
-/// accumulated word counts, re-sorts rankedInvertedIndex file lists, and
-/// canonicalizes.
+/// accumulated word counts, merges the per-document rankedInvertedIndex
+/// runs, and canonicalizes.
 void FinalizeMergedResult(AnalyticsResult* acc, uint64_t* merge_ops);
 
 /// Serialized size estimate of a result in bytes — the D2H drain volume of a

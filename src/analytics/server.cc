@@ -517,8 +517,13 @@ Status CorpusServer::ServeLoop(AdmissionMode mode,
       scheduler_.DrainActive(mode);
       scheduler_.ClearQueue();
       pending_.clear();
+      std::fill(route_load_.begin(), route_load_.end(), 0.0);
       SyncSchedulerStats();
       return batch.status();
+    }
+    // The completed run no longer loads its devices.
+    for (size_t d = 0; d < run.device_weight.size(); ++d) {
+      route_load_[d] -= run.device_weight[d];
     }
     const double duration = batch->timing.total_seconds();
     if (cpu_run) {

@@ -480,8 +480,9 @@ class CorpusServer {
     ShardedCorpus::RoutePlan route;
     std::vector<uint64_t> device_presize;
     std::vector<uint64_t> device_footprint;
-    /// Slot-weighted load each device gains if this run admits (feeds
-    /// least-loaded replica selection for later Submits).
+    /// Slot-weighted load each device carries while this run is admitted
+    /// and unfinished (feeds least-loaded replica selection for later
+    /// Submits).
     std::vector<double> device_weight;
   };
 
@@ -532,7 +533,8 @@ class CorpusServer {
   std::vector<std::unique_ptr<gpu::SlotBudget>> device_budgets_;
   RunScheduler scheduler_;
   /// Topology, executor, and the standing per-device routed-slot load
-  /// replica selection balances against.
+  /// replica selection balances against: the device weights of the runs
+  /// admitted and not yet completed.
   std::unique_ptr<ShardedCorpus> sharded_;
   std::unique_ptr<DeviceGroup> device_group_;
   std::vector<double> route_load_;

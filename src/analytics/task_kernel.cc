@@ -756,28 +756,33 @@ class SequenceCountKernel : public TaskKernel {
 
 // ---------------------------------------------------- rankedInvertedIndex ---
 
-/// Builds a rankedInvertedIndex result from n (gram, posting) rows: one sort
-/// by (gram asc, count desc, file asc), then one pass that opens a group at
-/// every new gram.
-template <typename GramOf, typename PostingOf>
-RankedInvertedIndexResult GroupByGram(uint32_t l, size_t n, GramOf gram_of,
-                                      PostingOf posting_of) {
+/// Builds a rankedInvertedIndex result from (file, gram, count) rows: one
+/// stable radix order by file asc, then count desc, then gram (so the rows
+/// end up by gram asc, count desc, file asc), then one pass that opens a
+/// group at every new gram.
+RankedInvertedIndexResult GroupByGram(const NgramRows& rows) {
+  const size_t n = rows.size();
+  const uint32_t l = rows.ngram_len;
   std::vector<uint32_t> order(n);
   std::iota(order.begin(), order.end(), 0u);
-  std::sort(order.begin(), order.end(), [&](uint32_t a, uint32_t b) {
-    const int c = CompareGrams(gram_of(a), gram_of(b), l);
-    return c != 0 ? c < 0 : CountDescIdAsc(posting_of(a), posting_of(b));
-  });
+  StableSortByKey(std::vector<uint64_t>(rows.files.begin(), rows.files.end()),
+                  &order);
+  std::vector<uint64_t> count_desc(n);
+  for (size_t i = 0; i < n; ++i) count_desc[i] = ~rows.counts[i];
+  StableSortByKey(count_desc, &order);
+  rows.StableSortByGram(&order);
+
   RankedInvertedIndexResult r;
   r.ngram_len = l;
   r.postings.reserve(n);
   for (size_t k = 0; k < n; ++k) {
-    const uint32_t* gram = gram_of(order[k]);
-    if (k == 0 || CompareGrams(gram_of(order[k - 1]), gram, l) != 0) {
+    const uint32_t i = order[k];
+    const uint32_t* gram = rows.gram(i);
+    if (k == 0 || CompareGrams(rows.gram(order[k - 1]), gram, l) != 0) {
       if (k > 0) r.offsets.push_back(r.postings.size());
       r.grams.insert(r.grams.end(), gram, gram + l);
     }
-    r.postings.push_back(posting_of(order[k]));
+    r.postings.emplace_back(rows.files[i], rows.counts[i]);
   }
   if (n > 0) r.offsets.push_back(n);
   return r;
@@ -794,18 +799,14 @@ class RankedInvertedIndexKernel : public TaskKernel {
   void AssembleSequence(const TaskInput& input, NgramRows rows,
                         AssemblyOps* ops, AnalyticsResult* out) const override {
     (void)input;
-    auto gram_of = [&rows](uint32_t i) { return rows.gram(i); };
-    auto posting_of = [&rows](uint32_t i) {
-      return Posting(rows.files[i], rows.counts[i]);
-    };
-    out->ranked_inverted_index =
-        GroupByGram(rows.ngram_len, rows.size(), gram_of, posting_of);
+    out->ranked_inverted_index = GroupByGram(rows);
     ops->ChargeUpdates(2 * rows.size());
     ops->ChargeGroupSort(out->ranked_inverted_index.size(), rows.size());
   }
 
   /// Appends the document's grams and postings (file ids offset) as further
-  /// groups; FinalizeMerge regroups equal grams across documents.
+  /// groups: one run sorted by gram per document. FinalizeMerge merges the
+  /// runs.
   void Merge(const AnalyticsResult& doc, uint32_t file_base,
              AnalyticsResult* acc, uint64_t* merge_ops) const override {
     const RankedInvertedIndexResult& from = doc.ranked_inverted_index;
@@ -823,23 +824,71 @@ class RankedInvertedIndexKernel : public TaskKernel {
     *merge_ops += from.postings.size();
   }
 
+  /// A k-way merge of the natural runs (maximal stretches of strictly
+  /// ascending grams, at least one per merged document) by gram. Runs that
+  /// hold the same gram merge their posting lists, each already ordered by
+  /// CountDescIdAsc, so the result equals GroupByGram over all postings
+  /// whatever order the documents were merged in.
   void FinalizeMerge(AnalyticsResult* acc, uint64_t* merge_ops) const override {
     RankedInvertedIndexResult& r = acc->ranked_inverted_index;
     *merge_ops += 2 * r.postings.size();
-    bool grouped = true;
-    for (size_t i = 1; i < r.size() && grouped; ++i) {
-      grouped = CompareGrams(r.gram(i - 1), r.gram(i), r.ngram_len) < 0;
-    }
-    if (grouped) return;  // no gram repeats: already final
-    std::vector<uint32_t> group_of(r.postings.size());
+    const uint32_t l = r.ngram_len;
+    // A run's head carries its gram's first two words (l >= 2) as one key,
+    // so most heap comparisons never leave the heap.
+    struct Run {
+      uint64_t head;  ///< words 0 and 1 of the next group's gram
+      size_t group;   ///< the run's next group
+      size_t end;
+    };
+    auto head_of = [&r](size_t g) {
+      const uint32_t* gram = r.gram(g);
+      return (uint64_t{gram[0]} << 32) | gram[1];
+    };
+    std::vector<Run> heap;
     for (size_t g = 0; g < r.size(); ++g) {
-      for (uint64_t p = r.offsets[g]; p < r.offsets[g + 1]; ++p) {
-        group_of[p] = static_cast<uint32_t>(g);
+      if (g == 0 || CompareGrams(r.gram(g - 1), r.gram(g), l) >= 0) {
+        if (!heap.empty()) heap.back().end = g;
+        heap.push_back({head_of(g), g, r.size()});
       }
     }
-    auto gram_of = [&](uint32_t p) { return r.gram(group_of[p]); };
-    auto posting_of = [&](uint32_t p) { return r.postings[p]; };
-    r = GroupByGram(r.ngram_len, r.postings.size(), gram_of, posting_of);
+    if (heap.size() <= 1) return;  // no gram repeats: already final
+    auto compare = [&r, l](const Run& a, const Run& b) {
+      if (a.head != b.head) return a.head < b.head ? -1 : 1;
+      return CompareGrams(r.gram(a.group) + 2, r.gram(b.group) + 2, l - 2);
+    };
+    auto later = [&compare](const Run& a, const Run& b) {
+      return compare(a, b) > 0;
+    };
+    std::make_heap(heap.begin(), heap.end(), later);
+    RankedInvertedIndexResult out;
+    out.ngram_len = l;
+    out.grams.reserve(r.grams.size());
+    out.postings.reserve(r.postings.size());
+    while (!heap.empty()) {
+      const Run top = heap.front();
+      const uint32_t* gram = r.gram(top.group);
+      out.grams.insert(out.grams.end(), gram, gram + l);
+      const size_t first = out.postings.size();
+      while (!heap.empty() && compare(heap.front(), top) == 0) {
+        std::pop_heap(heap.begin(), heap.end(), later);
+        Run& run = heap.back();
+        const size_t mid = out.postings.size();
+        out.postings.insert(out.postings.end(),
+                            r.postings.begin() + r.offsets[run.group],
+                            r.postings.begin() + r.offsets[run.group + 1]);
+        std::inplace_merge(out.postings.begin() + first,
+                           out.postings.begin() + mid, out.postings.end(),
+                           CountDescIdAsc);
+        if (++run.group < run.end) {
+          run.head = head_of(run.group);
+          std::push_heap(heap.begin(), heap.end(), later);
+        } else {
+          heap.pop_back();
+        }
+      }
+      out.offsets.push_back(out.postings.size());
+    }
+    r = std::move(out);
   }
 
   uint64_t ResultBytes(const AnalyticsResult& r,

@@ -10,6 +10,13 @@ namespace gtadoc {
 /// Three-way lexicographic comparison of two l-word grams (<0, 0, >0).
 int CompareGrams(const uint32_t* a, const uint32_t* b, uint32_t l);
 
+/// Stable LSD radix sort of the row permutation `order` by `keys[i]`, the
+/// key of row i. Rows with equal keys keep their relative order, so one call
+/// per column, least significant column first, orders the rows by all the
+/// columns. 11-bit digits; a digit on which no two keys differ is skipped.
+void StableSortByKey(const std::vector<uint64_t>& keys,
+                     std::vector<uint32_t>* order);
+
 /// \brief (file, l-gram, count) rows as a struct of arrays.
 ///
 /// The one n-gram currency of the sequence pipeline: GpuNgramTable::Drain
@@ -29,9 +36,14 @@ struct NgramRows {
   void Reserve(size_t n);
   void Append(uint32_t file, const uint32_t* gram, uint64_t count);
 
+  /// Stable-sorts the row permutation `order` by gram: one StableSortByKey
+  /// pass per word column, last word first.
+  void StableSortByGram(std::vector<uint32_t>* order) const;
+
   /// Orders the rows by (file, gram) and folds rows with equal keys into
   /// one, summing their counts. Rows that are already strictly ordered (a
-  /// corpus-order merge) are left untouched after one linear check.
+  /// corpus-order merge) are left untouched after one linear check; any
+  /// other order is one radix order, by gram and then by file.
   void SortByFileGram();
 
   /// Row-wise equality (ngram_len is implied by non-empty rows).

@@ -42,6 +42,12 @@ void ThreadPool::ParallelFor(size_t begin, size_t end,
   if (begin >= end) return;
   const size_t n = end - begin;
   const size_t chunks = std::min(n, threads_.size());
+  if (chunks == 1) {
+    // One chunk runs on the caller: waking a worker only to block on it
+    // costs two context switches and buys no parallelism.
+    fn(begin, end);
+    return;
+  }
   const size_t per_chunk = (n + chunks - 1) / chunks;
   for (size_t c = 0; c < chunks; ++c) {
     const size_t lo = begin + c * per_chunk;

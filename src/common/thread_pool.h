@@ -35,7 +35,8 @@ class ThreadPool {
   void Wait();
 
   /// Runs fn(begin..end) split into per-worker chunks; blocks until done.
-  /// fn receives (chunk_begin, chunk_end).
+  /// fn receives (chunk_begin, chunk_end). A range that makes one chunk (one
+  /// worker, or one index) runs on the calling thread.
   void ParallelFor(size_t begin, size_t end,
                    const std::function<void(size_t, size_t)>& fn);
 

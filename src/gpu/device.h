@@ -86,11 +86,13 @@ struct DeviceStats {
 /// \brief Virtual GPU: functional kernel execution + simulated clock.
 ///
 /// Kernels run on a host thread pool (each worker executes a contiguous chunk
-/// of logical threads) and must be *round-safe*: never block, communicate
-/// only through atomics and try-locks, and defer to the next host-driven
-/// round when a dependency is not ready — exactly the mask/stop-flag protocol
-/// of Algorithms 1 and 2 and Figures 7 and 8. Under that contract the results
-/// are schedule-independent, so the simulation is faithful to any CUDA
+/// of logical threads; a launch that makes one chunk, as every launch on a
+/// one-worker device does, runs on the calling thread) and must be
+/// *round-safe*: never block, communicate only through atomics and
+/// try-locks, and defer to the next host-driven round when a dependency is
+/// not ready — exactly the mask/stop-flag protocol of Algorithms 1 and 2 and
+/// Figures 7 and 8. Under that contract the results are
+/// schedule-independent, so the simulation is faithful to any CUDA
 /// interleaving.
 ///
 /// Simulated kernel time:

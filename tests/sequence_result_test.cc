@@ -425,5 +425,256 @@ TEST(SequenceResultTest, ShuffledMergeOrderFinalizesIdentically) {
   }
 }
 
+// ------------------------------------------------- radix-ordered rows ---
+
+/// Word and file ids at the radix digit edges (11-bit digits) and the
+/// largest id, and counts at the 64-bit extremes.
+constexpr uint32_t kEdgeIds[] = {0,          1,           (1u << 11) - 1,
+                                 1u << 11,   (1u << 11) + 1, (1u << 22) - 1,
+                                 1u << 22,   UINT32_MAX - 1, UINT32_MAX};
+constexpr uint64_t kEdgeCounts[] = {0, 1, 2, uint64_t{1} << 33,
+                                    UINT64_MAX - 1, UINT64_MAX};
+
+/// An id drawn from the edges half the time, uniformly otherwise.
+uint32_t EdgeId(std::mt19937* rng) {
+  if ((*rng)() % 2 == 0) return kEdgeIds[(*rng)() % std::size(kEdgeIds)];
+  return static_cast<uint32_t>((*rng)());
+}
+
+uint64_t EdgeCount(std::mt19937* rng) {
+  if ((*rng)() % 2 == 0) return kEdgeCounts[(*rng)() % std::size(kEdgeCounts)];
+  return (static_cast<uint64_t>((*rng)()) << 32) | (*rng)();
+}
+
+/// `n` random rows whose ids come from `id_of`, with repeated keys.
+template <typename IdOf>
+NgramRows RandomRows(std::mt19937* rng, uint32_t l, size_t n, IdOf id_of) {
+  NgramRows rows;
+  rows.ngram_len = l;
+  std::vector<uint32_t> gram(l);
+  for (size_t i = 0; i < n; ++i) {
+    if (i > 0 && (*rng)() % 4 == 0) {
+      // A repeated (file, gram) key with a fresh count.
+      const size_t j = (*rng)() % i;
+      rows.Append(rows.files[j], rows.gram(j), EdgeCount(rng));
+      continue;
+    }
+    for (uint32_t& w : gram) w = id_of();
+    rows.Append(id_of(), gram.data(), EdgeCount(rng));
+  }
+  return rows;
+}
+
+/// Rows in the order of `order`.
+NgramRows Permuted(const NgramRows& rows, const std::vector<size_t>& order) {
+  NgramRows out;
+  out.ngram_len = rows.ngram_len;
+  for (size_t i : order) {
+    out.Append(rows.files[i], rows.gram(i), rows.counts[i]);
+  }
+  return out;
+}
+
+/// The comparator-sorted (file, gram) order the radix order replaced: an
+/// index std::sort, then a fold of equal keys.
+NgramRows ReferenceSortByFileGram(const NgramRows& rows) {
+  auto compare = [&rows](size_t a, size_t b) {
+    if (rows.files[a] != rows.files[b]) {
+      return rows.files[a] < rows.files[b] ? -1 : 1;
+    }
+    return CompareGrams(rows.gram(a), rows.gram(b), rows.ngram_len);
+  };
+  std::vector<size_t> order(rows.size());
+  for (size_t i = 0; i < order.size(); ++i) order[i] = i;
+  std::sort(order.begin(), order.end(),
+            [&](size_t a, size_t b) { return compare(a, b) < 0; });
+  NgramRows out;
+  out.ngram_len = rows.ngram_len;
+  for (size_t k = 0; k < order.size(); ++k) {
+    if (k > 0 && compare(order[k - 1], order[k]) == 0) {
+      out.counts.back() += rows.counts[order[k]];
+    } else {
+      out.Append(rows.files[order[k]], rows.gram(order[k]),
+                 rows.counts[order[k]]);
+    }
+  }
+  return out;
+}
+
+/// The comparator-sorted rankedInvertedIndex grouping the radix order
+/// replaced: rows sorted by (gram asc, count desc, file asc), one group per
+/// gram.
+RankedInvertedIndexResult ReferenceGroupByGram(const NgramRows& rows) {
+  const uint32_t l = rows.ngram_len;
+  std::vector<size_t> order(rows.size());
+  for (size_t i = 0; i < order.size(); ++i) order[i] = i;
+  std::sort(order.begin(), order.end(), [&](size_t a, size_t b) {
+    const int c = CompareGrams(rows.gram(a), rows.gram(b), l);
+    if (c != 0) return c < 0;
+    if (rows.counts[a] != rows.counts[b]) {
+      return rows.counts[a] > rows.counts[b];
+    }
+    return rows.files[a] < rows.files[b];
+  });
+  RankedInvertedIndexResult r;
+  r.ngram_len = l;
+  for (size_t k = 0; k < order.size(); ++k) {
+    const uint32_t* gram = rows.gram(order[k]);
+    if (k == 0 || CompareGrams(rows.gram(order[k - 1]), gram, l) != 0) {
+      if (k > 0) r.offsets.push_back(r.postings.size());
+      r.grams.insert(r.grams.end(), gram, gram + l);
+    }
+    r.postings.emplace_back(rows.files[order[k]], rows.counts[order[k]]);
+  }
+  if (!order.empty()) r.offsets.push_back(r.postings.size());
+  return r;
+}
+
+RankedInvertedIndexResult RankedAssembly(const NgramRows& rows) {
+  const TaskKernel* kernel = TaskRegistry::Find(Task::kRankedInvertedIndex);
+  EXPECT_NE(kernel, nullptr);
+  TaskInput input;
+  input.ngram_len = rows.ngram_len;
+  RecordingAssembly ops;
+  AnalyticsResult out;
+  out.task = Task::kRankedInvertedIndex;
+  kernel->AssembleSequence(input, rows, &ops, &out);
+  return out.ranked_inverted_index;
+}
+
+// StableSortByKey orders a permutation exactly as std::stable_sort by the
+// same keys: equal keys keep their order, every digit edge sorts.
+TEST(RadixOrderTest, StableSortByKeyMatchesStableSort) {
+  std::mt19937 rng(11);
+  for (size_t n : {0, 1, 2, 5000}) {
+    for (int shape = 0; shape < 3; ++shape) {
+      SCOPED_TRACE(testing::Message() << "n=" << n << " shape=" << shape);
+      std::vector<uint64_t> keys(n);
+      for (uint64_t& k : keys) {
+        k = shape == 0 ? EdgeCount(&rng)
+                       : shape == 1 ? EdgeId(&rng) : uint64_t{1} << 40;
+      }
+      std::vector<uint32_t> start(n);
+      for (uint32_t i = 0; i < n; ++i) start[i] = i;
+      std::shuffle(start.begin(), start.end(), rng);
+      std::vector<uint32_t> want = start;
+      std::stable_sort(want.begin(), want.end(), [&](uint32_t a, uint32_t b) {
+        return keys[a] < keys[b];
+      });
+      std::vector<uint32_t> got = start;
+      StableSortByKey(keys, &got);
+      EXPECT_EQ(got, want);
+    }
+  }
+}
+
+// SortByFileGram and rankedInvertedIndex assembly against the comparator
+// sorts they replaced, for l = 2..6 and n in {0, 1, 2, 5000}, on random,
+// all-equal, presorted and reversed rows with ids and counts at the digit
+// edges.
+TEST(RadixOrderTest, RowOrdersMatchComparatorSorts) {
+  std::mt19937 rng(5);
+  for (uint32_t l = 2; l <= 6; ++l) {
+    for (size_t n : {0, 1, 2, 5000}) {
+      const NgramRows random =
+          RandomRows(&rng, l, n, [&rng] { return EdgeId(&rng); });
+      NgramRows equal;
+      equal.ngram_len = l;
+      const std::vector<uint32_t> same(l, (1u << 11) + 1);
+      for (size_t i = 0; i < n; ++i) equal.Append(UINT32_MAX, same.data(), 3);
+      // Presorted and reversed by the reference order, counts kept.
+      std::vector<size_t> by_key(n);
+      for (size_t i = 0; i < n; ++i) by_key[i] = i;
+      std::sort(by_key.begin(), by_key.end(), [&](size_t a, size_t b) {
+        if (random.files[a] != random.files[b]) {
+          return random.files[a] < random.files[b];
+        }
+        return CompareGrams(random.gram(a), random.gram(b), l) < 0;
+      });
+      const NgramRows presorted = Permuted(random, by_key);
+      std::reverse(by_key.begin(), by_key.end());
+      const NgramRows reversed = Permuted(random, by_key);
+
+      const std::pair<const char*, const NgramRows*> cases[] = {
+          {"random", &random},
+          {"all-equal", &equal},
+          {"presorted", &presorted},
+          {"reversed", &reversed}};
+      for (const auto& [name, rows] : cases) {
+        SCOPED_TRACE(testing::Message() << name << " l=" << l << " n=" << n);
+        NgramRows sorted = *rows;
+        sorted.SortByFileGram();
+        EXPECT_TRUE(sorted == ReferenceSortByFileGram(*rows));
+        EXPECT_TRUE(RankedAssembly(*rows) == ReferenceGroupByGram(*rows));
+      }
+    }
+  }
+}
+
+// The rankedInvertedIndex run merge equals one comparator grouping of every
+// posting, whatever the merge order: corpus order, shuffled, and documents
+// whose file ranges overlap, with one gram present in every document.
+TEST(RadixOrderTest, RankedRunMergeMatchesGroupingOfAllPostings) {
+  std::mt19937 rng(23);
+  constexpr uint32_t kDocs = 16;
+  constexpr uint32_t kFiles = 4;
+  for (uint32_t l = 2; l <= 6; ++l) {
+    std::vector<uint32_t> shared(l);
+    for (uint32_t& w : shared) w = EdgeId(&rng);
+    std::vector<NgramRows> doc_rows;
+    std::vector<AnalyticsResult> docs;
+    for (uint32_t d = 0; d < kDocs; ++d) {
+      // A small vocabulary of edge ids so grams repeat across documents.
+      NgramRows rows = RandomRows(&rng, l, 1 + rng() % 300, [&rng] {
+        return kEdgeIds[rng() % 3] + rng() % 2;
+      });
+      for (uint32_t& f : rows.files) f %= kFiles;
+      rows.Append(rng() % kFiles, shared.data(), EdgeCount(&rng));
+      AnalyticsResult doc;
+      doc.task = Task::kRankedInvertedIndex;
+      doc.ranked_inverted_index = RankedAssembly(rows);
+      doc_rows.push_back(std::move(rows));
+      docs.push_back(std::move(doc));
+    }
+
+    std::vector<uint32_t> corpus_order(kDocs);
+    for (uint32_t d = 0; d < kDocs; ++d) corpus_order[d] = d;
+    std::vector<uint32_t> shuffled = corpus_order;
+    std::shuffle(shuffled.begin(), shuffled.end(), rng);
+    struct Merge {
+      const char* name;
+      const std::vector<uint32_t>* order;
+      uint32_t base_step;  ///< file_base of document d is d * base_step
+    };
+    const Merge merges[] = {{"corpus order", &corpus_order, kFiles},
+                            {"shuffled", &shuffled, kFiles},
+                            {"overlapping", &shuffled, kFiles / 2},
+                            {"same range", &corpus_order, 0}};
+    for (const Merge& m : merges) {
+      SCOPED_TRACE(testing::Message() << m.name << " l=" << l);
+      AnalyticsResult acc;
+      acc.task = Task::kRankedInvertedIndex;
+      uint64_t merge_ops = 0;
+      NgramRows all;
+      all.ngram_len = l;
+      for (uint32_t d : *m.order) {
+        const uint32_t base = d * m.base_step;
+        MergeResult(docs[d], base, &acc, &merge_ops);
+        const NgramRows& rows = doc_rows[d];
+        for (size_t i = 0; i < rows.size(); ++i) {
+          all.Append(rows.files[i] + base, rows.gram(i), rows.counts[i]);
+        }
+      }
+      FinalizeMergedResult(&acc, &merge_ops);
+      const RankedInvertedIndexResult want = ReferenceGroupByGram(all);
+      EXPECT_TRUE(acc.ranked_inverted_index == want);
+      EXPECT_EQ(acc.ranked_inverted_index.Postings(shared).size(),
+                want.Postings(shared).size());
+      EXPECT_GE(want.Postings(shared).size(), kDocs);
+      EXPECT_EQ(merge_ops, 3 * all.size());
+    }
+  }
+}
+
 }  // namespace
 }  // namespace gtadoc

@@ -282,6 +282,57 @@ TEST(ShardedServerTest, BloomRejectedShardReceivesNoWork) {
                    run.start_seconds + longest + run.gather_seconds);
 }
 
+// Replica selection balances against the runs admitted and not yet
+// completed: a run's routed load leaves its device when the run completes,
+// so a device that was busy early wins the primary's tie again once idle.
+TEST(ShardedServerTest, CompletedRunsReleaseTheirRouteLoad) {
+  // The marker lives only in document 0, whose replicas are devices 0
+  // (primary) and 1.
+  MarkerCorpus mc = MakeMarkerCorpus(/*num_docs=*/4, /*relevant=*/1,
+                                     /*num_markers=*/1);
+  auto server = CorpusServer::Create(&mc.corpus, ServerOptions(2, 2));
+  ASSERT_TRUE(server.ok());
+  auto tenant = (*server)->OpenTenant({});
+  ASSERT_TRUE(tenant.ok());
+  CorpusServer::RunRequest request;
+  request.task = Task::kKeywordSearch;
+  request.query_words = {mc.markers[0]};
+
+  // Submits `n` runs, serves them all, and returns how many runs each
+  // device was routed meanwhile.
+  std::vector<uint64_t> routed_before(2, 0);
+  auto serve = [&](size_t n) -> std::vector<uint64_t> {
+    std::vector<CorpusServer::RunTicket> tickets;
+    for (size_t i = 0; i < n; ++i) {
+      auto submitted = tenant->Submit(request);
+      EXPECT_TRUE(submitted.ok() && submitted->admitted());
+      if (!submitted.ok() || !submitted->admitted()) return {};
+      EXPECT_EQ(submitted->admission->documents_to_execute, 1u);
+      tickets.push_back(*submitted->ticket);
+    }
+    auto served = ServeAndAwait(server->get(), tickets,
+                                AdmissionMode::kRolling);
+    EXPECT_TRUE(served.ok()) << served.status().ToString();
+    std::vector<uint64_t> routed(2);
+    for (size_t d = 0; d < 2; ++d) {
+      const uint64_t total = (*server)->stats().devices[d].runs_routed;
+      routed[d] = total - routed_before[d];
+      routed_before[d] = total;
+    }
+    return routed;
+  };
+
+  // An idle group: the primary keeps the tie.
+  EXPECT_EQ(serve(1), (std::vector<uint64_t>{1, 0}));
+  // After that run completed the group is idle again, so the primary wins
+  // again: the early run's load did not stay on device 0.
+  EXPECT_EQ(serve(1), (std::vector<uint64_t>{1, 0}));
+  // Two runs admitted together: the second sees the first's standing load
+  // and takes the other replica.
+  EXPECT_EQ(serve(2), (std::vector<uint64_t>{1, 1}));
+  EXPECT_EQ(serve(1), (std::vector<uint64_t>{1, 0}));
+}
+
 TEST(ShardedServerTest, BloomFalsePositiveShardExecutesAndStaysCorrect) {
   MarkerCorpus mc = MakeMarkerCorpus(/*num_docs=*/12, /*relevant=*/4,
                                      /*num_markers=*/2);
