@@ -93,19 +93,6 @@ void BM_NgramTableInsert(benchmark::State& state) {
 }
 BENCHMARK(BM_NgramTableInsert);
 
-void BM_DeviceScan(benchmark::State& state) {
-  gpu::Device device(gpu::VoltaPlatform().gpu, 0);
-  Rng rng(3);
-  std::vector<uint64_t> in(state.range(0));
-  for (auto& v : in) v = rng.Uniform(100);
-  std::vector<uint64_t> out;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(gpu::DeviceExclusiveScan(&device, in, &out));
-  }
-  state.SetItemsProcessed(state.iterations() * in.size());
-}
-BENCHMARK(BM_DeviceScan)->Arg(1 << 12)->Arg(1 << 18);
-
 void BM_DeviceSort(benchmark::State& state) {
   gpu::Device device(gpu::VoltaPlatform().gpu, 0);
   Rng rng(4);

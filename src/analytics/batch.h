@@ -24,9 +24,10 @@ namespace gtadoc {
 /// single-document engine cannot:
 ///
 ///   1. **Device-state reuse.** Each worker context keeps one gpu::MemoryPool
-///      and one DeviceGrammar arena, recycled across its documents
-///      (MemoryPool::EnsureCapacity + ResetForReuse, DeviceGrammar::Rebind).
-///      Only the context's first document pays the cudaMalloc-style
+///      and one engine whose device-grammar arena is recycled across its
+///      documents (MemoryPool::EnsureCapacity + ResetForReuse,
+///      GTadocEngine::Rebind). Only the context's first document, or one
+///      that outgrows the arena, pays the cudaMalloc-style
 ///      allocation calls that a cold GTadocEngine::Create + Run charges for
 ///      every document.
 ///   2. **Upload/traversal pipelining.** In the cost model, document i+1's

@@ -267,8 +267,7 @@ Result<std::shared_ptr<const RunPlan>> Planner::BuildPlan(
   prof.num_rules = n;
   prof.window = plan->window;
   prof.state_slots = plan->total_slots;
-  uint64_t body_symbols = 0;
-  for (uint32_t r = 0; r < n; ++r) body_symbols += dag.body_size(r);
+  const uint64_t body_symbols = dag.body_off(n);
   prof.upload_bytes = (body_symbols + 2ull * n) * sizeof(uint32_t);
   prof.rounds = 2ull * (dag.max_depth() + 1) + 4;
   if (!plan->relevant.empty()) {

@@ -40,7 +40,8 @@ Result<DagView> DagView::Build(const Grammar& g) {
   Arrays& a = v.a_;
   a.child_off.assign(n + 1, 0);
   a.word_off.assign(n + 1, 0);
-  a.body_size.assign(n, 0);
+  a.body_off.assign(n + 1, 0);
+  a.root_file.reserve(g.rules[0].size());
 
   // Aggregate bodies with dense per-id counters: a counter is bumped per
   // occurrence and its id remembered on first touch, so each rule costs
@@ -51,9 +52,10 @@ Result<DagView> DagView::Build(const Grammar& g) {
   std::vector<uint32_t> child_count(n, 0);
   std::vector<uint32_t> touched;
   std::vector<uint32_t> words;
+  uint32_t file = 0;  // root file cursor: splitters seen so far
   for (uint32_t r = 0; r < n; ++r) {
     const std::vector<uint32_t>& body = g.rules[r];
-    a.body_size[r] = static_cast<uint32_t>(body.size());
+    a.body_off[r + 1] = a.body_off[r] + body.size();
     for (uint32_t sym : body) {
       if (g.IsRule(sym)) {
         const uint32_t child = g.RuleIndex(sym);
@@ -63,12 +65,16 @@ Result<DagView> DagView::Build(const Grammar& g) {
       } else if (g.IsWord(sym)) {
         words.push_back(sym);
       } else {
-        // Splitters may only appear in the root.
+        // Splitters may only appear in the root, and in file order: the
+        // k-th splitter must be splitter k, so counting splitters (the root
+        // file ids) and reading a splitter's index agree.
         if (r != 0) return Status::Corruption("splitter outside root rule");
-        if (g.SplitterIndex(sym) + 1 >= g.num_files()) {
-          return Status::Corruption("splitter index out of range");
+        if (g.SplitterIndex(sym) != file) {
+          return Status::Corruption("root splitters out of file order");
         }
+        ++file;
       }
+      if (r == 0) a.root_file.push_back(file);
     }
     EmitSorted(&touched, &child_count, &a.child_id, &a.child_freq);
     a.child_off[r + 1] = static_cast<uint32_t>(a.child_id.size());
@@ -167,10 +173,8 @@ Result<DagStats> ComputeDagStats(const Grammar& g) {
   s.vocabulary_size = g.num_words;
   s.num_files = g.num_files();
   s.max_depth = v.max_depth();
-  for (uint32_t r = 0; r < v.num_rules(); ++r) {
-    s.num_edges += v.children(r).size();
-    s.total_body_symbols += v.body_size(r);
-  }
+  s.num_edges = v.num_edges();
+  s.total_body_symbols = v.body_off(v.num_rules());
   s.avg_body_length = static_cast<double>(s.total_body_symbols) /
                       static_cast<double>(s.num_rules);
 

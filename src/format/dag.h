@@ -80,40 +80,25 @@ class DagIdRange {
 /// Precomputes everything both engines traverse: aggregated child edges with
 /// multiplicities, aggregated local words, distinct parent lists, in-edge
 /// counts excluding the root (Algorithm 1 seeds traversal from rules whose
-/// only parent is the root), topological order and per-rule depth.
+/// only parent is the root), topological order, per-rule depth, body
+/// offsets and the file id of every root position.
 ///
-/// Storage is flat CSR in DeviceGrammar's SoA layout (Arrays), so a device
-/// bind is a bulk copy. Entries of a rule are sorted by id; parents by rule
-/// index.
+/// Storage is flat CSR (Arrays). It is the one layout of the document: the
+/// GPU engine's kernels index these arrays by thread id and read the rule
+/// bodies from the grammar, so binding a document to a device copies
+/// nothing. Entries of a rule are sorted by id; parents by rule index.
 class DagView {
  public:
-  /// The flat arrays. `*_off` have num_rules + 1 entries; rule r's entries
-  /// are [off[r], off[r + 1]) of the matching id/freq arrays.
-  struct Arrays {
-    std::vector<uint32_t> child_off;
-    std::vector<uint32_t> child_id;
-    std::vector<uint32_t> child_freq;
-    std::vector<uint32_t> word_off;
-    std::vector<uint32_t> word_id;
-    std::vector<uint32_t> word_freq;
-    std::vector<uint32_t> parent_off;
-    std::vector<uint32_t> parent_id;
-    std::vector<uint32_t> in_edges_nonroot;
-    std::vector<uint32_t> root_freq;
-    std::vector<uint32_t> depth;
-    std::vector<uint32_t> body_size;
-    std::vector<uint32_t> topo_order;
-  };
-
-  /// Validates the grammar (id ranges, acyclicity, non-empty root) and
-  /// builds the view. Returns Corruption for malformed grammars.
+  /// Validates the grammar (id ranges, acyclicity, non-empty root, root
+  /// splitters in file order) and builds the view. Returns Corruption for
+  /// malformed grammars.
   static Result<DagView> Build(const Grammar& g);
 
   /// Number of Build calls in this process (relaxed; a diagnostics counter
   /// that lets tests and benches prove documents are prepared once).
   static uint64_t builds();
 
-  size_t num_rules() const { return a_.body_size.size(); }
+  size_t num_rules() const { return a_.in_edges_nonroot.size(); }
 
   DagEntryRange<RuleChildEntry> children(uint32_t r) const {
     const uint32_t lo = a_.child_off[r];
@@ -153,11 +138,42 @@ class DagView {
   const std::vector<uint32_t>& topo_order() const { return a_.topo_order; }
 
   /// Number of symbols in rule r's body (workload for the scheduler).
-  uint32_t body_size(uint32_t r) const { return a_.body_size[r]; }
-
-  const Arrays& arrays() const { return a_; }
+  uint32_t body_size(uint32_t r) const {
+    return static_cast<uint32_t>(a_.body_off[r + 1] - a_.body_off[r]);
+  }
+  /// Offset of rule r's body in the concatenation of all bodies; r =
+  /// num_rules() gives the total body symbols.
+  uint64_t body_off(size_t r) const { return a_.body_off[r]; }
+  /// File id of root position `pos` (see Arrays::root_file).
+  uint32_t root_file(size_t pos) const { return a_.root_file[pos]; }
+  /// Number of aggregated rule->rule edges and of aggregated local words.
+  size_t num_edges() const { return a_.child_id.size(); }
+  size_t num_word_entries() const { return a_.word_id.size(); }
 
  private:
+  /// The flat arrays. `*_off` have num_rules + 1 entries; rule r's entries
+  /// are [off[r], off[r + 1]) of the matching id/freq arrays. `body_off`
+  /// is the prefix of the rule body sizes (body_off[num_rules] = all body
+  /// symbols).
+  struct Arrays {
+    std::vector<uint32_t> child_off;
+    std::vector<uint32_t> child_id;
+    std::vector<uint32_t> child_freq;
+    std::vector<uint32_t> word_off;
+    std::vector<uint32_t> word_id;
+    std::vector<uint32_t> word_freq;
+    std::vector<uint32_t> parent_off;
+    std::vector<uint32_t> parent_id;
+    std::vector<uint32_t> in_edges_nonroot;
+    std::vector<uint32_t> root_freq;
+    std::vector<uint32_t> depth;
+    std::vector<uint64_t> body_off;
+    std::vector<uint32_t> topo_order;
+    /// File id of each root position: the number of splitters at or before
+    /// it, so splitter k starts file k + 1.
+    std::vector<uint32_t> root_file;
+  };
+
   Arrays a_;
   uint32_t max_depth_ = 0;
 };

@@ -6,54 +6,6 @@ namespace gtadoc {
 namespace gpu {
 
 namespace {
-constexpr uint32_t kScanBlock = 256;
-}
-
-uint64_t DeviceExclusiveScan(Device* device, const std::vector<uint64_t>& in,
-                             std::vector<uint64_t>* out) {
-  const size_t n = in.size();
-  out->assign(n, 0);
-  if (n == 0) return 0;
-
-  const uint32_t num_blocks =
-      static_cast<uint32_t>((n + kScanBlock - 1) / kScanBlock);
-  std::vector<uint64_t> block_sums(num_blocks, 0);
-
-  // Round 1: per-block totals.
-  device->Launch("scanReduce", num_blocks, [&](ThreadCtx& ctx) {
-    const size_t lo = static_cast<size_t>(ctx.tid()) * kScanBlock;
-    const size_t hi = std::min(n, lo + kScanBlock);
-    uint64_t sum = 0;
-    for (size_t i = lo; i < hi; ++i) sum += in[i];
-    ctx.Charge(hi - lo);
-    block_sums[ctx.tid()] = sum;
-  });
-
-  // Host-side scan of the tiny block-sum array (the CUDA scheme would
-  // recurse; at our sizes one host pass is equivalent and charged as such).
-  uint64_t running = 0;
-  for (uint32_t b = 0; b < num_blocks; ++b) {
-    const uint64_t s = block_sums[b];
-    block_sums[b] = running;
-    running += s;
-  }
-
-  // Round 2: per-block exclusive rescan seeded with the block offset.
-  device->Launch("scanRescan", num_blocks, [&](ThreadCtx& ctx) {
-    const size_t lo = static_cast<size_t>(ctx.tid()) * kScanBlock;
-    const size_t hi = std::min(n, lo + kScanBlock);
-    uint64_t acc = block_sums[ctx.tid()];
-    for (size_t i = lo; i < hi; ++i) {
-      const uint64_t v = in[i];
-      (*out)[i] = acc;
-      acc += v;
-    }
-    ctx.Charge(hi - lo);
-  });
-  return running;
-}
-
-namespace {
 
 constexpr size_t kMergeChunk = 1024;
 

@@ -10,15 +10,6 @@
 namespace gtadoc {
 namespace gpu {
 
-/// \brief Blocked exclusive prefix sum on the virtual GPU.
-///
-/// Two kernel rounds (per-block reduce, then per-block rescan with host-side
-/// scan of the tiny block-sum array in between), the standard CUDA scheme.
-/// Returns the grand total. Used by the root file-boundary scan and the
-/// scheduler's thread-assignment offsets.
-uint64_t DeviceExclusiveScan(Device* device, const std::vector<uint64_t>& in,
-                             std::vector<uint64_t>* out);
-
 /// \brief Parallel bottom-up merge sort of (key, value) pairs by key (stable,
 /// ascending). log2(n) kernel rounds; round k merges runs of width 2^k, one
 /// logical thread per output run. Used by the `sort` analytics task and the

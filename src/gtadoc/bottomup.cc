@@ -10,13 +10,7 @@
 
 namespace gtadoc {
 
-namespace {
-
-uint64_t PackPair(uint32_t hi, uint32_t lo) {
-  return (static_cast<uint64_t>(hi) << 32) | lo;
-}
-
-}  // namespace
+using internal::PackPair;
 
 // ---------------------------------------------------------------------------
 // Shared Algorithm 2 machinery for both bottom-up executors: the per-rule
@@ -33,24 +27,24 @@ Status GTadocEngine::BuildRuleStates(const TaskKernel& kernel,
                                      uint32_t* rounds) {
   const StateLayout& layout = kernel.Layout(TraversalStrategy::kBottomUp);
   const WordFilter& filter = plan.filter;
+  const DagView& d = dag();
 
   // genLocTblKernel: init the rule's state, absorb its own (accepted) words,
   // then fold in the children's states (lines 12-16). Children of a
   // selective kernel carry only accepted words, so the merge is already
   // pruned. The root needs no state.
   *rounds = internal::BottomUpRounds(
-      device_, dev_, "genLocTbl", [&](uint32_t r, gpu::ThreadCtx& ctx) {
+      device_, d, "genLocTbl", [&](uint32_t r, gpu::ThreadCtx& ctx) {
         if (r == 0) return;  // root is handled by the reduce kernel
         GpuStateOps ops(&ctx);
         const StateView state = lease.state_at(r);
         layout.Init(state, ops);
-        for (uint32_t e = dev_.word_off[r]; e < dev_.word_off[r + 1]; ++e) {
-          if (!filter.Accepts(dev_.word_id[e])) continue;
-          layout.Absorb(state, dev_.word_id[e], dev_.word_freq[e], ops);
+        for (const RuleWordEntry& w : d.words(r)) {
+          if (!filter.Accepts(w.word)) continue;
+          layout.Absorb(state, w.word, w.freq, ops);
         }
-        for (uint32_t e = dev_.child_off[r]; e < dev_.child_off[r + 1]; ++e) {
-          layout.Merge(state, lease.state_at(dev_.child_id[e]),
-                       dev_.child_freq[e], ops);
+        for (const RuleChildEntry& e : d.children(r)) {
+          layout.Merge(state, lease.state_at(e.child), e.freq, ops);
         }
       });
   return Status::OK();
@@ -68,7 +62,7 @@ Status GTadocEngine::GlobalBottomUp(const TaskKernel& kernel,
   const TaskInput input = MakeInput();
   const WordFilter& filter = plan.filter;
   const StateLayout& layout = kernel.Layout(TraversalStrategy::kBottomUp);
-  const uint32_t n = dev_.num_rules;
+  const DagView& d = dag();
 
   const PlannedLease lease = AcquirePlanned(plan);
   Status st = BuildRuleStates(kernel, plan, lease, &last_rounds_);
@@ -78,7 +72,7 @@ Status GTadocEngine::GlobalBottomUp(const TaskKernel& kernel,
   // into the global table; one logical thread per level-2 node plus chunked
   // threads for the root's own words.
   gpu::GpuHashTable global(device_,
-                           WordTableOptions(plan, dev_.word_off[n]));
+                           WordTableOptions(plan, d.num_word_entries()));
 
   // Level-2 merges. Retry items must be idempotent, so the unit of work is a
   // single readable state slot (at most one global insert each), not a whole
@@ -90,15 +84,13 @@ Status GTadocEngine::GlobalBottomUp(const TaskKernel& kernel,
     uint32_t slot;
   };
   std::vector<SlotItem> slot_items;
-  for (uint32_t e = dev_.child_off[0]; e < dev_.child_off[1]; ++e) {
-    const uint32_t c = dev_.child_id[e];
-    if (filter.selective() && layout.EntryCount(lease.state_at(c)) == 0) {
+  for (const RuleChildEntry& e : d.children(0)) {
+    if (filter.selective() && layout.EntryCount(lease.state_at(e.child)) == 0) {
       continue;
     }
-    const uint64_t slots = layout.ReadableSlots(lease.state_at(c));
+    const uint64_t slots = layout.ReadableSlots(lease.state_at(e.child));
     for (uint64_t s = 0; s < slots; ++s) {
-      slot_items.push_back(SlotItem{c, dev_.child_freq[e],
-                                    static_cast<uint32_t>(s)});
+      slot_items.push_back(SlotItem{e.child, e.freq, static_cast<uint32_t>(s)});
     }
   }
   bool ok = gpu::RoundLoop(
@@ -115,14 +107,14 @@ Status GTadocEngine::GlobalBottomUp(const TaskKernel& kernel,
         return global.AddOrInsert(ctx, word, cnt * it.freq);
       });
   if (!ok) return Status::Internal("global table undersized (level-2)");
+  const DagEntryRange<RuleWordEntry> root_words = d.words(0);
   ok = gpu::RoundLoop(
-      device_, "reduceRootWords",
-      dev_.word_off[1] - dev_.word_off[0], 64,
+      device_, "reduceRootWords", root_words.size(), 64,
       [&](size_t i, gpu::ThreadCtx& ctx) {
-        const uint32_t e = dev_.word_off[0] + static_cast<uint32_t>(i);
+        const RuleWordEntry w = root_words[i];
         ctx.Charge(1);
-        if (!filter.Accepts(dev_.word_id[e])) return gpu::InsertOutcome::kDone;
-        return global.AddOrInsert(ctx, dev_.word_id[e], dev_.word_freq[e]);
+        if (!filter.Accepts(w.word)) return gpu::InsertOutcome::kDone;
+        return global.AddOrInsert(ctx, w.word, w.freq);
       });
   if (!ok) return Status::Internal("global table undersized (root words)");
 
@@ -144,7 +136,8 @@ Status GTadocEngine::FileTaskBottomUp(const TaskKernel& kernel,
   const TaskInput input = MakeInput();
   const WordFilter& filter = plan.filter;
   const StateLayout& layout = kernel.Layout(TraversalStrategy::kBottomUp);
-  const uint32_t num_files = dev_.num_files;
+  const DagView& d = dag();
+  const std::vector<uint32_t>& root = g_->root();
 
   const PlannedLease lease = AcquirePlanned(plan);
   Status st = BuildRuleStates(kernel, plan, lease, &last_rounds_);
@@ -152,10 +145,10 @@ Status GTadocEngine::FileTaskBottomUp(const TaskKernel& kernel,
 
   // Reduce: the root scan walks every root position; a level-2 occurrence
   // merges its state into the occurrence's file, root words insert directly.
-  uint64_t estimate = dev_.body_off[1];
-  for (uint32_t e = dev_.child_off[0]; e < dev_.child_off[0 + 1]; ++e) {
-    estimate += static_cast<uint64_t>(dev_.child_freq[e]) *
-                std::max<uint64_t>(1, plan.bound[dev_.child_id[e]]);
+  uint64_t estimate = root.size();
+  for (const RuleChildEntry& e : d.children(0)) {
+    estimate += static_cast<uint64_t>(e.freq) *
+                std::max<uint64_t>(1, plan.bound[e.child]);
   }
   gpu::GpuHashTable global(device_, WordTableOptions(plan, estimate));
 
@@ -169,14 +162,13 @@ Status GTadocEngine::FileTaskBottomUp(const TaskKernel& kernel,
     uint32_t slot;
   };
   std::vector<ScanItem> scan_items;
-  const uint64_t root_len = dev_.body_off[1];
-  for (uint64_t p = 0; p < root_len; ++p) {
-    const uint32_t sym = dev_.body_sym[p];
-    if (sym < dev_.num_words) {
+  for (uint64_t p = 0; p < root.size(); ++p) {
+    const uint32_t sym = root[p];
+    if (g_->IsWord(sym)) {
       if (!filter.Accepts(sym)) continue;
       scan_items.push_back(ScanItem{p, UINT32_MAX, 0});
-    } else if (sym >= dev_.num_words + (dev_.num_files - 1)) {
-      const uint32_t c = sym - (dev_.num_words + dev_.num_files - 1);
+    } else if (g_->IsRule(sym)) {
+      const uint32_t c = g_->RuleIndex(sym);
       if (filter.selective() && layout.EntryCount(lease.state_at(c)) == 0) {
         continue;
       }
@@ -190,11 +182,10 @@ Status GTadocEngine::FileTaskBottomUp(const TaskKernel& kernel,
       device_, "fileReduceRootScan", scan_items.size(), 64,
       [&](size_t i, gpu::ThreadCtx& ctx) {
         const ScanItem& it = scan_items[i];
-        const uint32_t file = dev_.root_file_of_pos[it.pos];
+        const uint32_t file = d.root_file(it.pos);
         ctx.Charge(1);
         if (it.child == UINT32_MAX) {
-          return global.AddOrInsert(ctx, PackPair(file, dev_.body_sym[it.pos]),
-                                    1);
+          return global.AddOrInsert(ctx, PackPair(file, root[it.pos]), 1);
         }
         uint32_t word;
         uint64_t cnt;
@@ -217,7 +208,7 @@ Status GTadocEngine::FileTaskBottomUp(const TaskKernel& kernel,
                                     c});
   }
   GpuAssembly ops(device_, lease.assembly());
-  kernel.AssembleFileWord(input, num_files, triples, &ops, out);
+  kernel.AssembleFileWord(input, g_->num_files(), triples, &ops, out);
   return Status::OK();
 }
 

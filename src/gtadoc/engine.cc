@@ -4,7 +4,6 @@
 
 #include "common/logging.h"
 #include "common/timer.h"
-#include "gpu/primitives.h"
 #include "gtadoc/traversal_util.h"
 
 namespace gtadoc {
@@ -63,7 +62,46 @@ void GTadocEngine::BindDeviceGrammar() {
   bind_pending_ = false;
   device_->ResetClock();
   const gpu::DeviceStats before = device_->stats();
-  dev_.Rebind(*g_, doc_->dag, device_, options_.charge_pcie);
+  const DagView& d = dag();
+  const uint64_t n = d.num_rules();
+  const uint64_t body = d.body_off(n);
+  const uint64_t edges = d.num_edges();
+  const uint64_t words = d.num_word_entries();
+  const uint64_t root = g_->root().size();
+  // One packed arena holds every array: an allocation call is charged when
+  // the document outgrows it in any of these sizes (always on a cold
+  // engine), and a rebind onto a document that fits pays nothing.
+  const std::array<uint64_t, 5> sizes = {n, body, edges, words, root};
+  bool grown = false;
+  for (size_t i = 0; i < sizes.size(); ++i) {
+    if (sizes[i] > arena_high_water_[i]) {
+      arena_high_water_[i] = sizes[i];
+      grown = true;
+    }
+  }
+  if (grown) device_->ChargeDeviceAlloc(1);
+  // PCIe upload (large datasets only; the paper keeps resident datasets
+  // on-device): 64-bit body offsets, the body symbols and 32-bit arrays —
+  // three CSR offset arrays, child id/freq, word id/freq, parent ids, a
+  // per-edge inbox slot, per-rule in-edges, out-degrees and root
+  // frequencies. The root file ids are derived on the device, not shipped.
+  if (options_.charge_pcie) {
+    device_->CopyHostToDevice(
+        (n + 1) * sizeof(uint64_t) + body * sizeof(uint32_t) +
+        (3 * (n + 1) + 4 * edges + 2 * words + 3 * n) * sizeof(uint32_t));
+  }
+  // Root scan (Figure 3's "light-weight scanning"): splitter indicator, the
+  // exclusive scan's reduce and rescan rounds, file assignment; each one op
+  // per root position in chunks of 256. Its result is the DagView's
+  // root_file, built once at load.
+  const uint32_t chunks = static_cast<uint32_t>((root + 255) / 256);
+  for (const char* kernel : {"rootSplitterIndicator", "scanReduce",
+                             "scanRescan", "rootFileAssign"}) {
+    device_->Launch(kernel, chunks, [root](gpu::ThreadCtx& ctx) {
+      const uint64_t lo = static_cast<uint64_t>(ctx.tid()) * 256;
+      ctx.Charge(std::min(root, lo + 256) - lo);
+    });
+  }
   create_seconds_ = device_->SimSeconds();
   create_ops_ = device_->stats().total_ops - before.total_ops;
   upload_seconds_ = device_->TransferSeconds(
@@ -201,7 +239,8 @@ std::shared_ptr<const RunPlan> GTadocEngine::CachedPlan(
 }
 
 std::vector<uint8_t> GTadocEngine::RelevancePass(const WordFilter& filter) {
-  const uint32_t n = dev_.num_rules;
+  const DagView& d = dag();
+  const uint32_t n = static_cast<uint32_t>(d.num_rules());
   if (!filter.selective()) return std::vector<uint8_t>(n, 1);
   // genQueryReachKernel: bottom-up reachability of accepted words — the
   // selective kernel's grammar exploit. A rule is relevant iff it owns an
@@ -209,20 +248,19 @@ std::vector<uint8_t> GTadocEngine::RelevancePass(const WordFilter& filter) {
   // accumulator state and are skipped by the reduce kernels.
   std::vector<uint8_t> relevant(n, 0);
   internal::BottomUpRounds(
-      device_, dev_, "genQueryReach", [&](uint32_t r, gpu::ThreadCtx& ctx) {
+      device_, d, "genQueryReach", [&](uint32_t r, gpu::ThreadCtx& ctx) {
         uint8_t rel = 0;
-        for (uint32_t e = dev_.word_off[r]; e < dev_.word_off[r + 1]; ++e) {
+        for (const RuleWordEntry& w : d.words(r)) {
           ctx.Charge(1);
-          if (filter.Accepts(dev_.word_id[e])) {
+          if (filter.Accepts(w.word)) {
             rel = 1;
             break;
           }
         }
         if (rel == 0) {
-          for (uint32_t e = dev_.child_off[r]; e < dev_.child_off[r + 1];
-               ++e) {
+          for (const RuleChildEntry& e : d.children(r)) {
             ctx.Charge(1);
-            if (relevant[dev_.child_id[e]] != 0) {
+            if (relevant[e.child] != 0) {
               rel = 1;
               break;
             }
@@ -239,22 +277,22 @@ std::vector<uint64_t> GTadocEngine::BoundsPass(const WordFilter& filter,
   // children's bounds, clamped by the accepted vocabulary (Algorithm 2
   // lines 5-9) — the init-traversal memory-requirement transmission the
   // plan turns into resolved region offsets.
-  const uint32_t n = dev_.num_rules;
-  std::vector<uint64_t> bound(n, 0);
+  const DagView& d = dag();
+  std::vector<uint64_t> bound(d.num_rules(), 0);
   internal::BottomUpRounds(
-      device_, dev_, "genLocTblBound", [&](uint32_t r, gpu::ThreadCtx& ctx) {
+      device_, d, "genLocTblBound", [&](uint32_t r, gpu::ThreadCtx& ctx) {
         uint64_t b;
         if (filter.selective()) {
           b = 0;
-          for (uint32_t e = dev_.word_off[r]; e < dev_.word_off[r + 1]; ++e) {
+          for (const RuleWordEntry& w : d.words(r)) {
             ctx.Charge(1);
-            if (filter.Accepts(dev_.word_id[e])) ++b;
+            if (filter.Accepts(w.word)) ++b;
           }
         } else {
-          b = dev_.word_off[r + 1] - dev_.word_off[r];
+          b = d.words(r).size();
         }
-        for (uint32_t e = dev_.child_off[r]; e < dev_.child_off[r + 1]; ++e) {
-          b += bound[dev_.child_id[e]];
+        for (const RuleChildEntry& e : d.children(r)) {
+          b += bound[e.child];
           ctx.Charge(1);
         }
         bound[r] = std::min<uint64_t>(std::max<uint64_t>(vocab_clamp, 1), b);
@@ -266,17 +304,17 @@ std::vector<uint64_t> GTadocEngine::ExpansionLengths() {
   // expLenKernel: per-rule expansion lengths, leaves to root — the sequence
   // pipeline's sizing pass, cached with the plan so same-shape rebind runs
   // skip it.
-  const uint32_t n = dev_.num_rules;
-  std::vector<uint64_t> exp_len(n, 0);
+  const DagView& d = dag();
+  std::vector<uint64_t> exp_len(d.num_rules(), 0);
   internal::BottomUpRounds(
-      device_, dev_, "expLen", [&](uint32_t r, gpu::ThreadCtx& ctx) {
+      device_, d, "expLen", [&](uint32_t r, gpu::ThreadCtx& ctx) {
         uint64_t total = 0;
-        for (uint32_t e = dev_.word_off[r]; e < dev_.word_off[r + 1]; ++e) {
-          total += dev_.word_freq[e];
+        for (const RuleWordEntry& w : d.words(r)) {
+          total += w.freq;
           ctx.Charge(1);
         }
-        for (uint32_t e = dev_.child_off[r]; e < dev_.child_off[r + 1]; ++e) {
-          total += exp_len[dev_.child_id[e]] * dev_.child_freq[e];
+        for (const RuleChildEntry& e : d.children(r)) {
+          total += exp_len[e.child] * e.freq;
           ctx.Charge(1);
         }
         exp_len[r] = std::min<uint64_t>(total, 1ull << 62);
@@ -385,7 +423,8 @@ Result<EngineRun> GTadocEngine::Run(Task task,
 uint32_t GTadocEngine::ComputeGlobalWeights(const TaskKernel& kernel,
                                             const PlannedLease& lease,
                                             std::vector<uint64_t>* weights) {
-  const uint32_t n = dev_.num_rules;
+  const DagView& d = dag();
+  const uint32_t n = static_cast<uint32_t>(d.num_rules());
   weights->assign(n, 0);
   std::vector<uint64_t>& weight = *weights;
 
@@ -406,10 +445,10 @@ uint32_t GTadocEngine::ComputeGlobalWeights(const TaskKernel& kernel,
     if (r == 0) return;
     GpuStateOps ops(&ctx);
     layout.Init(lease.state_at(r), ops);
-    if (dev_.root_freq[r] != 0) {
-      layout.Absorb(lease.state_at(r), 0, dev_.root_freq[r], ops);
+    if (d.root_freq(r) != 0) {
+      layout.Absorb(lease.state_at(r), 0, d.root_freq(r), ops);
     }
-    if (dev_.in_edges_nonroot[r] == 0) mask[r] = 1;
+    if (d.num_in_edges_nonroot(r) == 0) mask[r] = 1;
   });
 
   // topDownKernel rounds (Algorithm 1 lines 3-7): a ready rule folds its
@@ -424,14 +463,13 @@ uint32_t GTadocEngine::ComputeGlobalWeights(const TaskKernel& kernel,
       ctx.Charge(1);
       if (r == 0 || !mask[r]) return;
       GpuStateOps ops(&ctx);
-      for (uint32_t e = dev_.child_off[r]; e < dev_.child_off[r + 1]; ++e) {
-        const uint32_t c = dev_.child_id[e];
-        layout.Merge(lease.state_at(c), lease.state_at(r), dev_.child_freq[e],
-                     ops);
+      for (const RuleChildEntry& e : d.children(r)) {
+        const uint32_t c = e.child;
+        layout.Merge(lease.state_at(c), lease.state_at(r), e.freq, ops);
         const uint32_t got =
             cur_in[c].fetch_add(1, std::memory_order_relaxed) + 1;
         ctx.ChargeAtomic(1);
-        if (got == dev_.in_edges_nonroot[c]) {
+        if (got == d.num_in_edges_nonroot(c)) {
           mask_next[c].store(1, std::memory_order_relaxed);
           stop.store(false, std::memory_order_relaxed);
         }

@@ -1,6 +1,7 @@
 #ifndef GTADOC_GTADOC_ENGINE_H_
 #define GTADOC_GTADOC_ENGINE_H_
 
+#include <array>
 #include <memory>
 
 #include "analytics/engine.h"
@@ -14,7 +15,6 @@
 #include "gpu/device.h"
 #include "gpu/hash_table.h"
 #include "gpu/memory_pool.h"
-#include "gtadoc/device_grammar.h"
 #include "gtadoc/scheduler.h"
 #include "tadoc/strategy.h"
 
@@ -23,11 +23,13 @@ namespace gtadoc {
 /// \brief G-TADOC: GPU text analytics directly on TADOC-compressed data —
 /// the paper's contribution.
 ///
-/// The engine owns a virtual GPU device, the device-resident grammar, and a
-/// self-maintained memory pool. It is task-agnostic: Run looks the task's
-/// kernel up in the TaskRegistry and dispatches on the kernel's traversal
-/// shape, so any registered kernel — including out-of-tree ones — executes
-/// without engine changes. The three shape pipelines are:
+/// The engine owns a virtual GPU device and a self-maintained memory pool;
+/// its kernels read the document's grammar and prepared DagView in place
+/// (the device-resident layout of Section VI-A). It is task-agnostic: Run
+/// looks the task's kernel up in the TaskRegistry and dispatches on the
+/// kernel's traversal shape, so any registered kernel — including
+/// out-of-tree ones — executes without engine changes. The three shape
+/// pipelines are:
 ///
 ///   - kGlobalWeight: Algorithm 1 top-down weight propagation (or the
 ///     Algorithm 2 bottom-up local-table variant), then a parallel reduce
@@ -48,11 +50,12 @@ namespace gtadoc {
 /// run (the serving hot path) skips planning entirely: plan_seconds == 0 and
 /// zero relevance/bounds traversals are launched.
 ///
-/// Timing: phase 1 (initialization) covers device-grammar construction, the
-/// PCIe transfer, root scanning, memory-bound computation, planning (or a
-/// free cache hit), pool allocation charges and head/tail initialization;
-/// phase 2 (graph traversal) covers the mask-driven traversal rounds, result
-/// reduction and the D2H copy of the final tables.
+/// Timing: phase 1 (initialization) covers the device-grammar bind (arena
+/// allocation, the PCIe transfer and root scanning), memory-bound
+/// computation, planning (or a free cache hit), pool allocation charges and
+/// head/tail initialization; phase 2 (graph traversal) covers the
+/// mask-driven traversal rounds, result reduction and the D2H copy of the
+/// final tables.
 class GTadocEngine {
  public:
   /// The per-run query fields (query_words/query_sets/top_k/ngram_len) are
@@ -89,7 +92,7 @@ class GTadocEngine {
 
   /// Creates an engine over a prepared document (`doc` = the document's
   /// PreparedDocument record; both must outlive the engine). The device
-  /// grammar is bound on first need (see Rebind) and charged to the init
+  /// grammar bind is charged on first need (see Rebind) and into the init
   /// phase of every subsequent Run.
   static Result<std::unique_ptr<GTadocEngine>> Create(
       const Grammar* g, const PreparedDocument* doc, const Options& options);
@@ -126,11 +129,11 @@ class GTadocEngine {
   static TaskInput InputFromOptions(const Options& options);
 
   /// Re-targets the engine at another prepared document without rebuilding
-  /// the device context. No device work happens here: the device grammar
-  /// is rebound in place (allocation calls charged only for arrays the new
-  /// document outgrows) when first needed — at the top of Run, before its
-  /// clock starts, or by a PlanOnly that misses the plan cache — so a probe
-  /// whose plan is cached binds nothing. Subsequent Runs charge the new
+  /// the device context. No device work happens here: the bind is charged
+  /// (an allocation call only when the new document outgrows the engine's
+  /// grammar arena) when first needed — at the top of Run, before its clock
+  /// starts, or by a PlanOnly that misses the plan cache — so a probe whose
+  /// plan is cached binds nothing. Subsequent Runs charge the new
   /// document's init cost. Both pointers must outlive the engine. This is
   /// the batch warm path; a fresh Create is the cold path.
   void Rebind(const Grammar* g, const PreparedDocument* doc);
@@ -234,9 +237,14 @@ class GTadocEngine {
   Status BuildRuleStates(const TaskKernel& kernel, const RunPlan& plan,
                          const PlannedLease& lease, uint32_t* rounds);
 
-  /// Binds the device grammar to the current document if a Create/Rebind
-  /// left it pending, measuring the init-phase cost (arena growth, root
-  /// scan, optional upload) on a freshly reset clock.
+  /// Charges the device-grammar bind of the current document if a
+  /// Create/Rebind left it pending, measuring the init-phase cost on a
+  /// freshly reset clock. The kernels read the prepared DagView in place,
+  /// so the bind copies nothing; it charges what keeping the document
+  /// resident costs: one allocation call when the document outgrows the
+  /// engine's arena high-water mark, the H2D upload of the arena when PCIe
+  /// is billed, and the four root-scan launches that derive the root file
+  /// ids (splitter indicator, scan reduce, scan rescan, file assign).
   void BindDeviceGrammar();
 
   // --- shape drivers: pure executors of a RunPlan ---
@@ -264,7 +272,7 @@ class GTadocEngine {
   /// Backing storage when Create prepared the document itself.
   std::unique_ptr<PreparedDocument> owned_doc_;
   Options options_;
-  /// True while dev_ holds a document other than doc_ (or none).
+  /// True until the current document's bind has been charged.
   bool bind_pending_ = true;
   std::unique_ptr<gpu::Device> owned_device_;
   gpu::Device* device_ = nullptr;  ///< owned_device_ or options_.shared_device
@@ -274,7 +282,9 @@ class GTadocEngine {
   /// The engine's plan cache when options_.plan_cache is null.
   std::shared_ptr<PlanCache> owned_plan_cache_;
   PlanCache* plan_cache_ = nullptr;
-  DeviceGrammar dev_;
+  /// High-water sizes of the modelled device-grammar arena: rules, body
+  /// symbols, aggregated edges, word entries and root length.
+  std::array<uint64_t, 5> arena_high_water_{};
   /// Simulated seconds consumed by the device-grammar bind (charged into
   /// every Run's phase 1), and the H2D share of them that a batch can
   /// overlap with a previous document's traversal.

@@ -121,8 +121,10 @@ Status GTadocEngine::SequenceTask(const TaskKernel& kernel,
   const TaskInput input = MakeInput();
   const uint32_t l = plan.window;
   const uint32_t hl = l - 1;
-  const uint32_t n = dev_.num_rules;
-  const uint32_t rule_base = dev_.num_words + (dev_.num_files - 1);
+  const DagView& d = dag();
+  const uint32_t n = static_cast<uint32_t>(d.num_rules());
+  const uint32_t num_words = g_->num_words;
+  const uint32_t rule_base = g_->num_terminals();
   const double sim_at_entry = device_->SimSeconds();
   const uint64_t allocs_at_entry = device_->stats().device_allocs;
 
@@ -152,15 +154,15 @@ Status GTadocEngine::SequenceTask(const TaskKernel& kernel,
       const uint32_t r = ctx.tid();
       ctx.Charge(1);
       if (ht_mask[r].load(std::memory_order_relaxed)) return;
-      const uint64_t b0 = dev_.body_off[r], b1 = dev_.body_off[r + 1];
+      const std::vector<uint32_t>& body = g_->rules[r];
       const uint32_t want_h =
           static_cast<uint32_t>(std::min<uint64_t>(hl, exp_len[r]));
       // Head: walk forward.
       uint32_t got = 0;
-      for (uint64_t p = b0; p < b1 && got < want_h; ++p) {
-        const uint32_t sym = dev_.body_sym[p];
+      for (size_t p = 0; p < body.size() && got < want_h; ++p) {
+        const uint32_t sym = body[p];
         ctx.Charge(1);
-        if (sym < dev_.num_words) {
+        if (sym < num_words) {
           ht(r).set_head(got++, sym);
         } else {
           const uint32_t c = sym - rule_base;
@@ -180,10 +182,10 @@ Status GTadocEngine::SequenceTask(const TaskKernel& kernel,
       uint32_t got_t = 0;  // collected from the end; tail stored left-to-right
       std::vector<uint32_t> rev;
       rev.reserve(want_t);
-      for (uint64_t p = b1; p > b0 && got_t < want_t; --p) {
-        const uint32_t sym = dev_.body_sym[p - 1];
+      for (size_t p = body.size(); p > 0 && got_t < want_t; --p) {
+        const uint32_t sym = body[p - 1];
         ctx.Charge(1);
-        if (sym < dev_.num_words) {
+        if (sym < num_words) {
           rev.push_back(sym);
           ++got_t;
         } else {
@@ -228,13 +230,13 @@ Status GTadocEngine::SequenceTask(const TaskKernel& kernel,
     // through the layout hooks; the charging kernels below account the
     // equivalent per-layer waves at the GPU tariff tallied per rule.
     std::vector<uint64_t> per_rule_work(n, 0);
-    const uint64_t root_len = dev_.body_off[1];
+    const std::vector<uint32_t>& root = g_->root();
+    const uint64_t root_len = root.size();
     TallyStateOps seed_tally;
     for (uint64_t p = 0; p < root_len; ++p) {
-      const uint32_t sym = dev_.body_sym[p];
-      if (sym >= rule_base) {
-        fw_layout.Absorb(lease.aux_at(sym - rule_base),
-                         dev_.root_file_of_pos[p], 1, seed_tally);
+      if (root[p] >= rule_base) {
+        fw_layout.Absorb(lease.aux_at(root[p] - rule_base), d.root_file(p), 1,
+                         seed_tally);
       }
     }
     // The root scan is a chunked kernel in its own right; its seeds' state
@@ -248,12 +250,11 @@ Status GTadocEngine::SequenceTask(const TaskKernel& kernel,
       const uint64_t hi = std::min(root_len, lo + 256);
       ctx.Charge((hi > lo ? hi - lo : 0) + seed_extra);
     });
-    for (uint32_t r : dag().topo_order()) {
+    for (uint32_t r : d.topo_order()) {
       if (r == 0) continue;
       TallyStateOps tally;
-      for (uint32_t e = dev_.child_off[r]; e < dev_.child_off[r + 1]; ++e) {
-        fw_layout.Merge(lease.aux_at(dev_.child_id[e]), lease.aux_at(r),
-                        dev_.child_freq[e], tally);
+      for (const RuleChildEntry& e : d.children(r)) {
+        fw_layout.Merge(lease.aux_at(e.child), lease.aux_at(r), e.freq, tally);
       }
       per_rule_work[r] += tally.ops;
     }
@@ -287,27 +288,26 @@ Status GTadocEngine::SequenceTask(const TaskKernel& kernel,
   // per-file weight count; 1 for the root). EP is the global prefix of those
   // bounds, giving each slice a private, exactly-sized output region.
   std::vector<uint64_t> rule_loads(n);
-  for (uint32_t r = 0; r < n; ++r) {
-    rule_loads[r] = dev_.body_off[r + 1] - dev_.body_off[r];
-  }
+  for (uint32_t r = 0; r < n; ++r) rule_loads[r] = d.body_size(r);
   const ThreadAssignment assign = BuildAssignment(
       rule_loads, options_.scheduling, options_.split_threshold);
 
-  std::vector<uint64_t> ep(dev_.body_off[n] + 1, 0);
+  std::vector<uint64_t> ep(d.body_off(n) + 1, 0);
   for (uint32_t r = 0; r < n; ++r) {
     const uint64_t fanout = r == 0 ? 1 : fweight[r].size();
-    for (uint64_t p = dev_.body_off[r]; p < dev_.body_off[r + 1]; ++p) {
-      const uint32_t sym = dev_.body_sym[p];
+    uint64_t p = d.body_off(r);
+    for (const uint32_t sym : g_->rules[r]) {
       uint64_t tokens = 0;
-      if (sym < dev_.num_words) {
+      if (sym < num_words) {
         tokens = 1;
       } else if (sym >= rule_base) {
         tokens = 2ull * hl;
       }
       ep[p + 1] = ep[p] + tokens * fanout;
+      ++p;
     }
   }
-  const uint64_t max_pairs = ep[dev_.body_off[n]];
+  const uint64_t max_pairs = ep[d.body_off(n)];
   std::vector<SeqPair> pairs(max_pairs);
   std::vector<uint32_t> gram_words(max_pairs * l);
   std::vector<uint64_t> slice_start(assign.total_threads, 0);
@@ -319,9 +319,10 @@ Status GTadocEngine::SequenceTask(const TaskKernel& kernel,
     ctx.Charge(1);
     if (r != 0 && fweight[r].empty()) return;
     if (r != 0 && exp_len[r] < l) return;  // no window can end inside
-    const uint64_t b0 = dev_.body_off[r], b1 = dev_.body_off[r + 1];
+    const std::vector<uint32_t>& body = g_->rules[r];
+    const uint64_t b0 = d.body_off(r);
     uint64_t sl_begin, sl_end;  // element slice, relative to the body
-    assign.Slice(r, slot, b1 - b0, &sl_begin, &sl_end);
+    assign.Slice(r, slot, body.size(), &sl_begin, &sl_end);
     if (sl_begin >= sl_end) return;
     const uint64_t cursor = ep[b0 + sl_begin];
     slice_start[ctx.tid()] = cursor;
@@ -330,9 +331,7 @@ Status GTadocEngine::SequenceTask(const TaskKernel& kernel,
     // Lookback: rebuild window context from up to l-1 earlier elements.
     const uint64_t walk_begin = sl_begin > (l - 1) ? sl_begin - (l - 1) : 0;
     // The root's current file must be reconstructed even across the lookback.
-    if (r == 0 && walk_begin > 0) {
-      cur_file = dev_.root_file_of_pos[b0 + walk_begin - 1];
-    }
+    if (r == 0 && walk_begin > 0) cur_file = d.root_file(walk_begin - 1);
 
     WindowRing ring(l);
     bool counting = false;  // true once the walk enters the owned slice
@@ -362,16 +361,15 @@ Status GTadocEngine::SequenceTask(const TaskKernel& kernel,
 
     for (uint64_t rel = walk_begin; rel < sl_end; ++rel) {
       counting = rel >= sl_begin;
-      const uint64_t p = b0 + rel;
-      const uint32_t sym = dev_.body_sym[p];
+      const uint32_t sym = body[rel];
       ctx.Charge(1);
-      if (sym < dev_.num_words) {
+      if (sym < num_words) {
         ring.Push(sym, static_cast<uint32_t>(rel));
         emit_window();
       } else if (sym < rule_base) {
-        // Splitter: windows never span files.
+        // Splitter (root only): windows never span files.
         ring.Reset();
-        cur_file = dev_.root_file_of_pos[p];
+        cur_file = d.root_file(rel);
       } else {
         const uint32_t c = sym - rule_base;
         const HeadTailRef cht = ht(c);

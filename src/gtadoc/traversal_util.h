@@ -6,8 +6,8 @@
 #include <functional>
 #include <vector>
 
+#include "format/dag.h"
 #include "gpu/device.h"
-#include "gtadoc/device_grammar.h"
 
 namespace gtadoc {
 namespace internal {
@@ -23,9 +23,9 @@ inline uint64_t PackPair(uint32_t hi, uint32_t lo) {
 /// parents. Returns the number of kernel rounds (bounded by the DAG depth k
 /// in the paper's complexity analysis).
 inline uint32_t BottomUpRounds(
-    gpu::Device* device, const DeviceGrammar& dev, const char* name,
+    gpu::Device* device, const DagView& dag, const char* name,
     const std::function<void(uint32_t, gpu::ThreadCtx&)>& body) {
-  const uint32_t n = dev.num_rules;
+  const uint32_t n = static_cast<uint32_t>(dag.num_rules());
   std::vector<uint8_t> mask(n, 0);
   std::vector<std::atomic<uint8_t>> mask_next(n);
   std::vector<std::atomic<uint32_t>> cur_out(n);
@@ -33,7 +33,7 @@ inline uint32_t BottomUpRounds(
   device->Launch("initBottomUpMask", n, [&](gpu::ThreadCtx& ctx) {
     const uint32_t r = ctx.tid();
     ctx.Charge(1);
-    if (dev.num_children[r] == 0) mask[r] = 1;
+    if (dag.num_out_edges(r) == 0) mask[r] = 1;
   });
 
   std::atomic<bool> stop{false};
@@ -46,12 +46,11 @@ inline uint32_t BottomUpRounds(
       ctx.Charge(1);
       if (!mask[r]) return;
       body(r, ctx);
-      for (uint32_t pe = dev.parent_off[r]; pe < dev.parent_off[r + 1]; ++pe) {
-        const uint32_t p = dev.parent_id[pe];
+      for (const uint32_t p : dag.parents(r)) {
         const uint32_t got =
             cur_out[p].fetch_add(1, std::memory_order_relaxed) + 1;
         ctx.ChargeAtomic();
-        if (got == dev.num_children[p]) {
+        if (got == dag.num_out_edges(p)) {
           mask_next[p].store(1, std::memory_order_relaxed);
           stop.store(false, std::memory_order_relaxed);
         }

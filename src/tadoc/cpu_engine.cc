@@ -44,18 +44,6 @@ TaskInput CpuTadocEngine::MakeInput() const {
   return MakeTaskInput(options_);
 }
 
-std::vector<uint32_t> CpuTadocEngine::RootFileIds(CpuCostMeter* meter) const {
-  const std::vector<uint32_t>& root = g_->root();
-  std::vector<uint32_t> file_of(root.size(), 0);
-  uint32_t cur = 0;
-  for (size_t i = 0; i < root.size(); ++i) {
-    if (g_->IsSplitter(root[i])) cur = g_->SplitterIndex(root[i]) + 1;
-    file_of[i] = cur;
-  }
-  meter->Charge(root.size());
-  return file_of;
-}
-
 // ---------------------------------------------------------------------------
 // Planning: the CPU twins of the GPU passes, charged to a plan meter.
 // ---------------------------------------------------------------------------
@@ -229,10 +217,9 @@ Result<EngineRun> CpuTadocEngine::Run(
 
   // Phase 1: data-structure preparation. Building the DAG view costs one
   // pass over every rule body plus the aggregation maps.
-  const DagView::Arrays& arrays = dag().arrays();
-  uint64_t init_ops = arrays.child_id.size() + arrays.word_id.size();
-  for (uint32_t body : arrays.body_size) init_ops += 2ull * body;
-  init_meter.Charge(init_ops);
+  const DagView& d = dag();
+  init_meter.Charge(d.num_edges() + d.num_word_entries() +
+                    2 * d.body_off(d.num_rules()));
 
   // Plan resolution: a cache hit costs nothing; a miss runs the metered
   // relevance/bounds passes.

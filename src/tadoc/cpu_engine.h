@@ -130,9 +130,6 @@ class CpuTadocEngine {
   AnalyticsResult SequenceTask(const TaskKernel& kernel, const RunPlan& plan,
                                CpuCostMeter* meter) const;
 
-  /// Root-body file segmentation: file id of each root position (phase 1).
-  std::vector<uint32_t> RootFileIds(CpuCostMeter* meter) const;
-
   const Grammar* g_;
   const PreparedDocument* doc_;
   /// Backing storage when Create prepared the document itself (shared so

@@ -154,9 +154,14 @@ Grammar RandomGrammar(Rng* rng) {
     const uint32_t parent = static_cast<uint32_t>(rng->Uniform(r));
     g.rules[parent].push_back(g.RuleId(r));
   }
+  // Splitters at random root positions, in file order (splitter k is the
+  // k-th splitter of the root): positions are drawn in the splitter-free
+  // root and sorted, and each insert shifts the later ones by one.
+  std::vector<uint64_t> pos(g.num_splitters);
+  for (uint64_t& p : pos) p = rng->Uniform(g.rules[0].size() + 1);
+  std::sort(pos.begin(), pos.end());
   for (uint32_t s = 0; s < g.num_splitters; ++s) {
-    const uint64_t pos = rng->Uniform(g.rules[0].size() + 1);
-    g.rules[0].insert(g.rules[0].begin() + pos, g.num_words + s);
+    g.rules[0].insert(g.rules[0].begin() + pos[s] + s, g.num_words + s);
   }
   return g;
 }
@@ -196,9 +201,12 @@ TEST(DagViewTest, FlatViewMatchesReferenceAggregation) {
       }
     }
 
+    uint64_t body_off = 0;
     for (uint32_t r = 0; r < n; ++r) {
       SCOPED_TRACE(r);
       EXPECT_EQ(v.body_size(r), g.rules[r].size());
+      EXPECT_EQ(v.body_off(r), body_off);
+      body_off += g.rules[r].size();
       ASSERT_EQ(v.children(r).size(), children[r].size());
       size_t i = 0;
       for (const auto& [c, freq] : children[r]) {
@@ -225,6 +233,15 @@ TEST(DagViewTest, FlatViewMatchesReferenceAggregation) {
       EXPECT_EQ(v.depth(r), depth[r]);
     }
     EXPECT_EQ(v.max_depth(), *std::max_element(depth.begin(), depth.end()));
+    EXPECT_EQ(v.body_off(n), body_off);
+
+    // Root file ids: the file a splitter starts holds from the splitter on.
+    uint32_t file = 0;
+    for (size_t p = 0; p < g.rules[0].size(); ++p) {
+      const uint32_t sym = g.rules[0][p];
+      if (g.IsSplitter(sym)) file = g.SplitterIndex(sym) + 1;
+      EXPECT_EQ(v.root_file(p), file) << "root position " << p;
+    }
 
     // Topological order: a permutation starting at the root in which every
     // parent precedes each of its children.
@@ -257,6 +274,21 @@ TEST(CorpusLoadTest, MalformedGrammarsAreRejectedAtLoad) {
   g.num_splitters = 1;
   g.rules = {{3, 0}, {1, 0}};
   cases.emplace_back("splitter outside the root", g);
+  // Root splitters must run 0, 1, ... in file order. A repeated splitter
+  // numbers a third file of a two-file grammar; swapped splitters make the
+  // splitter count and the splitter index disagree on the file id.
+  g.num_words = 3;
+  g.rules = {{0, 3, 1, 3, 2}};
+  cases.emplace_back("repeated root splitter", g);
+  g.num_splitters = 2;
+  g.rules = {{0, 4, 1, 3, 2}};
+  cases.emplace_back("root splitters out of file order", g);
+  // The same grammar through a container with a valid checksum.
+  auto parsed = ParseGrammar(SerializeGrammar(g));
+  ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
+  cases.emplace_back("root splitters out of order, from a container",
+                     std::move(*parsed));
+  g.num_words = 1;
   g.num_splitters = 0;
   g.rules = {{}};
   cases.emplace_back("empty root", g);

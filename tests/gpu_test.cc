@@ -281,24 +281,6 @@ TEST(GpuNgramTableTest, TableFullAndDrainRoundTrip) {
 
 // ------------------------------------------------------------ Primitives ---
 
-TEST(ScanTest, MatchesHostPrefixSum) {
-  Device device(TestSpec(), 2);
-  Rng rng(5);
-  for (size_t n : {0u, 1u, 7u, 256u, 1000u, 4096u}) {
-    std::vector<uint64_t> in(n);
-    for (auto& v : in) v = rng.Uniform(100);
-    std::vector<uint64_t> out;
-    const uint64_t total = DeviceExclusiveScan(&device, in, &out);
-    uint64_t expect = 0;
-    ASSERT_EQ(out.size(), n);
-    for (size_t i = 0; i < n; ++i) {
-      EXPECT_EQ(out[i], expect) << "n=" << n << " i=" << i;
-      expect += in[i];
-    }
-    EXPECT_EQ(total, expect);
-  }
-}
-
 TEST(SortTest, SortsRandomPairs) {
   Device device(TestSpec(), 2);
   Rng rng(17);
